@@ -24,8 +24,9 @@ from pathlib import Path
 from . import stats
 from .data_model import CatalogError, ParseError, parse_catalog, write_catalog
 from .exposure import compute_exposure, write_exposure_table
-from .runner import (MatrixConfig, RunnerError, StoreError, enumerate_experiments,
-                     load_score_records, matrix_counts, run_matrix)
+from .runner import (MatrixConfig, RunnerError, StoreError, _spec_counts,
+                     enumerate_experiments, load_score_records, matrix_counts,
+                     run_matrix)
 from .synthgen import CalibrationError, GenConfig, generate_panel
 
 EXIT_OK = 0
@@ -141,13 +142,7 @@ def cmd_run(args) -> int:
         return _fail(EXIT_VALIDATION, str(exc))
 
     try:
-        specs = enumerate_experiments(catalog, matrix)
-        bases = {s.base for s in specs}
-        counts = matrix_counts(
-            matrix,
-            n_product_bases=len({b for b in bases if b.kind.value == "product"}),
-            n_user_bases=len({b for b in bases if b.kind.value == "user"}),
-        )
+        counts = _spec_counts(matrix, enumerate_experiments(catalog, matrix))
     except RunnerError as exc:
         return _fail(EXIT_VALIDATION, str(exc))
     _print_counts(counts)

@@ -217,12 +217,6 @@ class Catalog:
         matched = {b.product_id for b in self.broadcasts}
         return tuple(p for p in self.products if p in matched)
 
-    def profile_of(self, user_id: str) -> DemographicProfile:
-        return {u.user_id: u for u in self.users}[user_id]
-
-    def response_map(self) -> dict[tuple[str, str], SurveyResponse]:
-        return {(r.user_id, r.product_id): r for r in self.responses}
-
     def fingerprint(self) -> str:
         """Content hash of the canonical serialization, independent of file layout."""
         digest = hashlib.sha256()

@@ -52,24 +52,8 @@ class ExposureMatrix:
         key = (user_id, product_id, weekday, slot)
         self.cells[key] = self.cells.get(key, 0) + seconds
 
-    def get(self, user_id: str, product_id: str, weekday: int, slot: TimeSlot) -> int:
-        return self.cells.get((user_id, product_id, weekday, slot), 0)
-
-    def weekday_total(self, user_id: str, product_id: str, weekday: int) -> int:
-        return (self.get(user_id, product_id, weekday, TimeSlot.PRIMETIME)
-                + self.get(user_id, product_id, weekday, TimeSlot.NON_PRIMETIME))
-
-    def pair_total(self, user_id: str, product_id: str) -> int:
-        return sum(self.weekday_total(user_id, product_id, w) for w in range(7))
-
     def total_seconds(self) -> int:
         return sum(self.cells.values())
-
-    def __add__(self, other: "ExposureMatrix") -> "ExposureMatrix":
-        merged = ExposureMatrix(dict(self.cells))
-        for (u, p, w, s), seconds in other.cells.items():
-            merged.add(u, p, w, s, seconds)
-        return merged
 
     def rows(self):
         """Cells as (user, product, weekday, slot, seconds), sorted for audit dumps."""

@@ -3,7 +3,8 @@
 Matrices are dense float64 with one row per (user, product) pair implied by
 the model base: product-based models take one row per user for a fixed
 product, user-based models one row per advert-matched product for a fixed
-user. Rows are sorted by (user_id, product_id).
+user. Rows are sorted by (user_id, product_id). Every matrix is a slice of
+one ``Panel``, the dense layout of the catalog built once per run.
 
 Exposure blocks are raw accumulated seconds, either 7 weekday sums or 14
 weekday-by-slot cells. Demographics are one-hot encoded in fixed listing
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -147,85 +147,101 @@ def exposure_feature_names(uses_slots: bool) -> list[str]:
     return list(WEEKDAY_NAMES)
 
 
-def _exposure_row(matrix: ExposureMatrix, user_id: str, product_id: str,
-                  uses_slots: bool) -> np.ndarray:
-    if uses_slots:
-        row = np.zeros(14, dtype=np.float64)
-        for w in range(7):
-            row[2 * w] = matrix.get(user_id, product_id, w, TimeSlot.PRIMETIME)
-            row[2 * w + 1] = matrix.get(user_id, product_id, w, TimeSlot.NON_PRIMETIME)
-    else:
-        row = np.zeros(7, dtype=np.float64)
-        for w in range(7):
-            row[w] = matrix.weekday_total(user_id, product_id, w)
-    return row
+@dataclass(frozen=True)
+class Panel:
+    """Dense arrays of one catalog and its exposure join, built once per run.
 
+    The user axis is ``user_ids`` and the product axis the advert-matched
+    ``product_ids``, both sorted, so the rows of any model base come out in
+    (user_id, product_id) order.
 
-def build_matrix(catalog: Catalog, exposure: ExposureMatrix, base: ModelBase,
-                 config: InputConfig, target_behavior: Behavior,
-                 standardize: bool = False) -> FeatureMatrix:
-    """Assemble the feature matrix for one base, configuration and target.
-
-    ``standardize`` z-scores each column (constant columns stay zero); it
-    defaults off so exposure features remain raw seconds.
+    ``E[user, product, weekday, slot]`` holds exposure seconds (slot 0 is
+    primetime), ``D[user]`` the one-hot demographics and
+    ``S[user, product]`` the survey answers pi_jan, pi_mar, ap_jan, ap_mar.
     """
+
+    user_ids: tuple[str, ...]
+    product_ids: tuple[str, ...]
+    E: np.ndarray
+    D: np.ndarray
+    S: np.ndarray
+
+    @classmethod
+    def build(cls, catalog: Catalog, exposure: ExposureMatrix) -> "Panel":
+        user_ids = catalog.user_ids
+        product_ids = catalog.advert_matched_products
+        n_users, n_products = len(user_ids), len(product_ids)
+        user_index = {u: i for i, u in enumerate(user_ids)}
+        product_index = {p: j for j, p in enumerate(product_ids)}
+
+        # One pass over the cells through flat indices: no per-cell tuples
+        # are kept and no per-cell array indexing is paid.
+        cells = exposure.cells
+        E = np.zeros((n_users, n_products, 7, 2), dtype=np.float64)
+        np.put(E, np.fromiter(
+            (((user_index[u] * n_products + product_index[p]) * 7 + w) * 2
+             + (s is TimeSlot.NON_PRIMETIME) for u, p, w, s in cells),
+            dtype=np.intp, count=len(cells)),
+            np.fromiter(cells.values(), dtype=np.float64, count=len(cells)))
+
+        D = np.array([encode_demographics(u) for u in catalog.users],
+                     dtype=np.float64).reshape(n_users, DEMOGRAPHIC_DIMS)
+
+        # Survey rows are sorted by (user, product) and cover every pair.
+        answers = np.fromiter(
+            (a for r in catalog.responses
+             for a in (r.pi_jan, r.pi_mar, r.ap_jan, r.ap_mar)),
+            dtype=bool, count=4 * len(catalog.responses))
+        matched = [catalog.products.index(p) for p in product_ids]
+        S = answers.reshape(n_users, len(catalog.products), 4)[:, matched]
+        return cls(user_ids, product_ids, E, D, S)
+
+    def rows(self, base: ModelBase) -> tuple[np.ndarray, np.ndarray]:
+        """User and product indices of the base's rows, in row order."""
+        if base.kind is BaseKind.PRODUCT_BASED:
+            if base.base_id not in self.product_ids:
+                raise FeatureError(f"unknown or unmatched product base {base.base_id!r}")
+            users = np.arange(len(self.user_ids))
+            return users, np.full_like(users, self.product_ids.index(base.base_id))
+        if base.base_id not in self.user_ids:
+            raise FeatureError(f"unknown user base {base.base_id!r}")
+        products = np.arange(len(self.product_ids))
+        return np.full_like(products, self.user_ids.index(base.base_id)), products
+
+    def waves(self, base: ModelBase, behavior: Behavior) -> tuple[np.ndarray, np.ndarray]:
+        """January and March answers for ``behavior`` on the base's rows."""
+        users, products = self.rows(base)
+        first = 2 if behavior is Behavior.ACTUAL_PURCHASE else 0
+        answers = self.S[users, products]
+        return answers[:, first], answers[:, first + 1]
+
+
+def build_matrix(panel: Panel, base: ModelBase, config: InputConfig,
+                 target_behavior: Behavior) -> FeatureMatrix:
+    """Assemble the feature matrix for one base, configuration and target."""
     if config.include_pi_feature and target_behavior is Behavior.PURCHASE_INTENTION:
         raise FeatureError(
             "purchase-intention feature requested while predicting purchase intention"
         )
-
-    if base.kind is BaseKind.PRODUCT_BASED:
-        if base.base_id not in catalog.advert_matched_products:
-            raise FeatureError(f"unknown or unmatched product base {base.base_id!r}")
-        row_keys = [(u, base.base_id) for u in catalog.user_ids]
-    else:
-        if base.base_id not in set(catalog.user_ids):
-            raise FeatureError(f"unknown user base {base.base_id!r}")
-        row_keys = [(base.base_id, p) for p in catalog.advert_matched_products]
-    row_keys.sort()
+    users, products = panel.rows(base)
 
     names: list[str] = []
+    blocks: list[np.ndarray] = []
     if config.kind.has_viewing:
+        exposure = panel.E[users, products]
+        if config.kind.uses_slots:
+            blocks.append(exposure.reshape(len(users), 14))
+        else:
+            blocks.append(exposure.sum(axis=2))
         names += exposure_feature_names(config.kind.uses_slots)
     if config.kind.has_demographics:
+        blocks.append(panel.D[users])
         names += DEMOGRAPHIC_FEATURE_NAMES
     if config.include_pi_feature:
+        blocks.append(panel.S[users, products, :1].astype(np.float64))
         names.append(PI_FEATURE_NAME)
 
-    profiles = {u.user_id: u for u in catalog.users}
-    demo_cache: dict[str, np.ndarray] = {}
-    responses = catalog.response_map() if config.include_pi_feature else {}
-
-    values = np.zeros((len(row_keys), len(names)), dtype=np.float64)
-    for i, (user_id, product_id) in enumerate(row_keys):
-        blocks = []
-        if config.kind.has_viewing:
-            blocks.append(_exposure_row(exposure, user_id, product_id,
-                                        config.kind.uses_slots))
-        if config.kind.has_demographics:
-            if user_id not in demo_cache:
-                demo_cache[user_id] = encode_demographics(profiles[user_id])
-            blocks.append(demo_cache[user_id])
-        if config.include_pi_feature:
-            pi_jan = responses[(user_id, product_id)].pi_jan
-            blocks.append(np.array([1.0 if pi_jan else 0.0]))
-        values[i] = np.concatenate(blocks)
-
-    if standardize:
-        mean = values.mean(axis=0)
-        std = values.std(axis=0)
-        nonconstant = std > 0
-        values = values - mean
-        values[:, nonconstant] /= std[nonconstant]
-
-    return FeatureMatrix(values=values, row_keys=row_keys, feature_names=names)
-
-
-def write_matrix(fm: FeatureMatrix, path: str | Path) -> None:
-    """Dump a feature matrix as a tab-separated audit table."""
-    path = Path(path)
-    lines = ["\t".join(["user_id", "product_id"] + fm.feature_names)]
-    for (user_id, product_id), row in zip(fm.row_keys, fm.values):
-        cells = [user_id, product_id] + [repr(v) for v in row.tolist()]
-        lines.append("\t".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    row_keys = [(panel.user_ids[u], panel.product_ids[p])
+                for u, p in zip(users.tolist(), products.tolist())]
+    return FeatureMatrix(values=np.hstack(blocks), row_keys=row_keys,
+                         feature_names=names)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -40,7 +41,7 @@ from .data_model import Catalog
 from .evaluation import Confusion, CvResult, FoldResult, cross_validate
 from .exposure import ExposureMatrix, compute_exposure
 from .features import (INPUT_KIND_ORDER, BaseKind, InputConfig, InputKind,
-                       ModelBase, build_matrix)
+                       ModelBase, Panel, build_matrix)
 from .learners import MODEL_KINDS, LearnerParams
 from .targets import CATEGORIES, Behavior, label_vector
 
@@ -52,8 +53,7 @@ _RESULT_COLUMNS = ("spec_id", "model", "base_kind", "base_id", "config_kind",
                    "pi_feature", "behavior", "category", "k", "seed", "status",
                    "error", "mean_precision", "mean_recall", "mean_f1", "folds")
 
-_SPEC_COLUMNS = ("spec_id", "model", "base_kind", "base_id", "config_kind",
-                 "pi_feature", "behavior", "category", "k", "seed")
+_SPEC_COLUMNS = _RESULT_COLUMNS[:10]
 
 
 class RunnerError(ValueError):
@@ -248,35 +248,19 @@ def matrix_counts(matrix: MatrixConfig, n_product_bases: int,
 _WORKER: dict = {}
 
 
-def _init_worker(catalog: Catalog, exposure: ExposureMatrix,
-                 params: LearnerParams, global_seed: int) -> None:
-    _WORKER["catalog"] = catalog
-    _WORKER["exposure"] = exposure
+def _init_worker(panel: Panel, params: LearnerParams, global_seed: int) -> None:
+    _WORKER["panel"] = panel
     _WORKER["params"] = params
     _WORKER["global_seed"] = global_seed
-    _WORKER["responses"] = catalog.response_map()
-    _WORKER["matrix_cache"] = {}
-
-
-def _feature_matrix_for(spec: ExperimentSpec):
-    cache = _WORKER["matrix_cache"]
-    key = (spec.base.kind, spec.base.base_id, spec.config.kind,
-           spec.config.include_pi_feature, spec.behavior if spec.config.include_pi_feature else None)
-    if key not in cache:
-        if len(cache) > 64:
-            cache.clear()
-        cache[key] = build_matrix(_WORKER["catalog"], _WORKER["exposure"],
-                                  spec.base, spec.config, spec.behavior)
-    return cache[key]
 
 
 def _execute_spec(spec: ExperimentSpec) -> tuple[str, str, str]:
     """Run one experiment; returns (spec_id, status, payload)."""
     seed = spec_seed(_WORKER["global_seed"], spec.spec_id)
     try:
-        fm = _feature_matrix_for(spec)
-        responses = [_WORKER["responses"][key] for key in fm.row_keys]
-        y = label_vector(responses, spec.behavior, spec.category)
+        panel = _WORKER["panel"]
+        fm = build_matrix(panel, spec.base, spec.config, spec.behavior)
+        y = label_vector(*panel.waves(spec.base, spec.behavior), spec.category)
         cv = cross_validate(fm.values, y, spec.model_kind, _WORKER["params"],
                             spec.k, seed)
     except Exception as exc:  # recorded, never fatal to the run
@@ -291,21 +275,27 @@ def _execute_spec(spec: ExperimentSpec) -> tuple[str, str, str]:
     return spec.spec_id, "ok", payload
 
 
-def _result_line(spec: ExperimentSpec, seed: int, status: str, payload: str) -> str:
-    head = "\t".join((
+def _row_head(spec: ExperimentSpec, seed: int) -> str:
+    """The identity columns that open every row of specs.tsv and results.tsv."""
+    return "\t".join((
         spec.spec_id, spec.model_kind, spec.base.kind.value, spec.base.base_id,
         spec.config.kind.value, "1" if spec.config.include_pi_feature else "0",
         spec.behavior.value, str(spec.category), str(spec.k), str(seed)))
+
+
+def _result_line(spec: ExperimentSpec, seed: int, status: str, payload: str) -> str:
+    head = _row_head(spec, seed)
     if status == "ok":
         return f"{head}\tok\t\t{payload}\n"
     return f"{head}\terror\t{payload}\t\t\t\t\n"
 
 
-def _spec_line(spec: ExperimentSpec, seed: int) -> str:
-    return "\t".join((
-        spec.spec_id, spec.model_kind, spec.base.kind.value, spec.base.base_id,
-        spec.config.kind.value, "1" if spec.config.include_pi_feature else "0",
-        spec.behavior.value, str(spec.category), str(spec.k), str(seed))) + "\n"
+def _spec_counts(matrix: MatrixConfig, specs: list[ExperimentSpec]) -> dict:
+    """``matrix_counts`` for the bases that an enumeration covers."""
+    bases = {spec.base for spec in specs}
+    n_products = sum(1 for b in bases if b.kind is BaseKind.PRODUCT_BASED)
+    return matrix_counts(matrix, n_product_bases=n_products,
+                         n_user_bases=len(bases) - n_products)
 
 
 def run_matrix(catalog: Catalog, matrix: MatrixConfig, out_dir: str | Path,
@@ -341,6 +331,8 @@ def run_matrix(catalog: Catalog, matrix: MatrixConfig, out_dir: str | Path,
             raise StoreError("matrix configuration or seed does not match the manifest")
         executed = {row["spec_id"] for row in _read_result_rows(results_path)}
         remaining = [spec for spec in specs if spec.spec_id not in executed]
+        # Drop a torn final line so that appends start on a fresh row.
+        os.truncate(results_path, results_path.read_bytes().rfind(b"\n") + 1)
     else:
         if results_path.exists():
             raise StoreError(f"{results_path} already exists; use resume")
@@ -348,7 +340,7 @@ def run_matrix(catalog: Catalog, matrix: MatrixConfig, out_dir: str | Path,
         with specs_path.open("w", encoding="utf-8") as fh:
             fh.write("\t".join(_SPEC_COLUMNS) + "\n")
             for spec in specs:
-                fh.write(_spec_line(spec, seeds[spec.spec_id]))
+                fh.write(_row_head(spec, seeds[spec.spec_id]) + "\n")
         executed = set()
         remaining = specs
 
@@ -358,12 +350,8 @@ def run_matrix(catalog: Catalog, matrix: MatrixConfig, out_dir: str | Path,
     started = time.time()
     done = len(executed)
     total = len(specs)
-    bases = _selected_bases(catalog, matrix)
-    counts = matrix_counts(
-        matrix,
-        n_product_bases=sum(1 for b in bases if b.kind is BaseKind.PRODUCT_BASED),
-        n_user_bases=sum(1 for b in bases if b.kind is BaseKind.USER_BASED),
-    )
+    counts = _spec_counts(matrix, specs)
+    panel = Panel.build(catalog, exposure)
 
     with results_path.open("a", encoding="utf-8") as sink:
         def commit(spec: ExperimentSpec, status: str, payload: str) -> None:
@@ -375,7 +363,7 @@ def run_matrix(catalog: Catalog, matrix: MatrixConfig, out_dir: str | Path,
                 progress(done, total, spec.spec_id, status)
 
         if workers <= 1 or len(remaining) <= 1:
-            _init_worker(catalog, exposure, matrix.learner_params, global_seed)
+            _init_worker(panel, matrix.learner_params, global_seed)
             for spec in remaining:
                 _, status, payload = _execute_spec(spec)
                 commit(spec, status, payload)
@@ -383,8 +371,7 @@ def run_matrix(catalog: Catalog, matrix: MatrixConfig, out_dir: str | Path,
             chunk = max(1, min(32, len(remaining) // (workers * 4) or 1))
             with ProcessPoolExecutor(
                     max_workers=workers, initializer=_init_worker,
-                    initargs=(catalog, exposure, matrix.learner_params,
-                              global_seed)) as pool:
+                    initargs=(panel, matrix.learner_params, global_seed)) as pool:
                 # map() yields in submission order, which keeps the log
                 # bytes independent of completion order.
                 for spec, (_, status, payload) in zip(
@@ -426,33 +413,18 @@ def _load_manifest(path: Path) -> dict:
 def _read_result_rows(path: Path) -> list[dict]:
     if not path.exists():
         raise StoreError(f"missing results log {path}")
-    text = path.read_text(encoding="utf-8")
-    torn_tail = text and not text.endswith("\n")
-    lines = text.splitlines()
+    data = path.read_bytes()
+    # A partial final line is an interrupted append; it is not a row.
+    lines = data[:data.rfind(b"\n") + 1].decode("utf-8").splitlines()
     if not lines or tuple(lines[0].split("\t")) != _RESULT_COLUMNS:
         raise StoreError(f"{path}: bad or missing header")
     rows = []
-    body = lines[1:]
-    if torn_tail and body:
-        body = body[:-1]  # a partial final line is an interrupted append
-    for line_no, line in enumerate(body, start=2):
+    for line_no, line in enumerate(lines[1:], start=2):
         fields = line.split("\t")
         if len(fields) != len(_RESULT_COLUMNS):
             raise StoreError(f"{path}:{line_no}: expected {len(_RESULT_COLUMNS)} fields")
         rows.append(dict(zip(_RESULT_COLUMNS, fields)))
     return rows
-
-
-def remaining_specs(catalog: Catalog, store_dir: str | Path) -> list[ExperimentSpec]:
-    """Specs from the store's index that have no result row yet."""
-    store_dir = Path(store_dir)
-    manifest = _load_manifest(store_dir / MANIFEST_FILE)
-    if manifest["fingerprint"] != catalog.fingerprint():
-        raise StoreError("catalog fingerprint does not match the manifest")
-    matrix = MatrixConfig.from_dict(manifest["matrix"])
-    specs = enumerate_experiments(catalog, matrix)
-    executed = {row["spec_id"] for row in _read_result_rows(store_dir / RESULTS_FILE)}
-    return [spec for spec in specs if spec.spec_id not in executed]
 
 
 def _spec_from_row(row: dict) -> ExperimentSpec:

@@ -34,10 +34,8 @@ contract (changing it is a breaking change):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from pathlib import Path
 
 import numpy as np
 
@@ -124,10 +122,6 @@ class GenConfig:
         if "advert_durations" in doc:
             doc["advert_durations"] = tuple(doc["advert_durations"])
         return cls(**doc)
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "GenConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def _normalized_rates(rates) -> tuple[float, float, float, float]:
@@ -255,9 +249,12 @@ def _row_scores(config: GenConfig, users, user_ids, product_ids,
     profiles = {u.user_id: u for u in users}
     demo_effect = {uid: float(config.beta_demo @ encode_demographics(profiles[uid]))
                    for uid in user_ids}
+    pair_seconds: dict[tuple[str, str], int] = {}
+    for (u, p, _, _), seconds in exposure.cells.items():
+        pair_seconds[(u, p)] = pair_seconds.get((u, p), 0) + seconds
     rows = [(u, p) for u in sorted(user_ids) for p in sorted(product_ids)]
     scores = np.array([
-        demo_effect[u] + config.beta_exposure * exposure.pair_total(u, p) / 100.0
+        demo_effect[u] + config.beta_exposure * pair_seconds.get((u, p), 0) / 100.0
         for u, p in rows
     ])
     return rows, scores

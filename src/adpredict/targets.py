@@ -51,18 +51,17 @@ def wave_answers(response: SurveyResponse, behavior: Behavior) -> tuple[bool, bo
     return response.pi_jan, response.pi_mar
 
 
-def label_vector(responses: list[SurveyResponse], behavior: Behavior,
-                 category: int) -> np.ndarray:
-    """Binary labels, one per response in input order."""
-    if not responses:
+def label_vector(jan: np.ndarray, mar: np.ndarray, category: int) -> np.ndarray:
+    """Binary labels, one per (January, March) answer pair in input order.
+
+    ``jan`` and ``mar`` are equal-length bool arrays.
+    """
+    if jan.size == 0:
         raise ValueError("responses must be nonempty")
     if category not in CATEGORIES:
         raise ValueError(f"category must be in 0..5, got {category}")
-    labels = np.zeros(len(responses), dtype=np.int64)
-    for i, r in enumerate(responses):
-        if category in categorize(*wave_answers(r, behavior)):
-            labels[i] = 1
-    return labels
+    member = (jan & ~mar, ~jan & ~mar, ~jan & mar, jan & mar, mar, ~mar)[category]
+    return member.astype(np.int64)
 
 
 def category_distribution(responses: list[SurveyResponse],

@@ -18,7 +18,7 @@ import pytest
 from adpredict.data_model import parse_catalog, write_catalog
 from adpredict.evaluation import Confusion, cross_validate, metrics
 from adpredict.exposure import compute_exposure
-from adpredict.features import InputKind, build_matrix
+from adpredict.features import InputKind, Panel, build_matrix
 from adpredict.learners import (LearnerParams, binary_log_loss, logistic_gradient,
                                 logistic_objective, svm_primal_objective,
                                 train_gbrt, train_svm)
@@ -26,7 +26,7 @@ from adpredict.runner import (MatrixConfig, RESULTS_FILE, SPECS_FILE,
                               enumerate_experiments, matrix_counts, run_matrix)
 from adpredict.stats import hypothesis_suite, welch_t_test
 from adpredict.synthgen import GenConfig, generate_panel
-from adpredict.targets import Behavior, categorize, label_vector
+from adpredict.targets import Behavior, categorize, label_vector, wave_answers
 from conftest import random_catalog
 from test_learners import random_instance, subgradient_svm_oracle
 from test_stats import quadrature_two_sided_p
@@ -119,10 +119,10 @@ def test_category_labeling():
         catalog = generate_panel(GenConfig(n_users=80, n_products=5,
                                            n_advert_matched=3, seed=44,
                                            broadcasts_per_day=3))
-        responses = list(catalog.responses)
         for behavior in Behavior:
-            counts = {c: int(label_vector(responses, behavior, c).sum())
-                      for c in range(6)}
+            jan, mar = np.array([wave_answers(r, behavior)
+                                 for r in catalog.responses]).T
+            counts = {c: int(label_vector(jan, mar, c).sum()) for c in range(6)}
             assert counts[4] == counts[2] + counts[3]
             assert counts[5] == counts[0] + counts[1]
 
@@ -273,14 +273,13 @@ def test_determinism_under_parallelism(tmp_path):
 
 def _h1_cell(catalog, matrix, seed, category, variant="weekday_slot"):
     """Run the (small) matrix and pull the H1 logreg/product/AP cell."""
-    exposure = compute_exposure(list(catalog.viewing), list(catalog.broadcasts))
+    panel = Panel.build(catalog, compute_exposure(list(catalog.viewing),
+                                                  list(catalog.broadcasts)))
     from adpredict.runner import ScoreRecord, spec_seed
     records = []
-    responses = catalog.response_map()
     for spec in enumerate_experiments(catalog, matrix):
-        fm = build_matrix(catalog, exposure, spec.base, spec.config, spec.behavior)
-        y = label_vector([responses[key] for key in fm.row_keys], spec.behavior,
-                         spec.category)
+        fm = build_matrix(panel, spec.base, spec.config, spec.behavior)
+        y = label_vector(*panel.waves(spec.base, spec.behavior), spec.category)
         cv = cross_validate(fm.values, y, spec.model_kind, matrix.learner_params,
                             spec.k, spec_seed(seed, spec.spec_id))
         records.append(ScoreRecord(spec=spec, cv=cv, seed=seed))

@@ -6,6 +6,9 @@ import pytest
 from adpredict.data_model import AdBroadcast, ViewingRecord
 from adpredict.exposure import (ExposureMatrix, TimeSlot, compute_exposure,
                                 slot_of, write_exposure_table)
+from adpredict.features import (BaseKind, InputConfig, InputKind, ModelBase, Panel,
+                                build_matrix)
+from adpredict.targets import Behavior
 
 
 def brute_force_exposure(viewing, broadcasts) -> ExposureMatrix:
@@ -44,7 +47,7 @@ def test_full_containment_monday_primetime():
     broadcasts = [AdBroadcast("p1", datetime(2017, 1, 23, 20, 30), 15, "ch1")]
     matrix = compute_exposure(viewing, broadcasts)
     # 2017-01-23 is a Monday.
-    assert matrix.get("u1", "p1", 0, TimeSlot.PRIMETIME) == 15
+    assert matrix.cells == {("u1", "p1", 0, TimeSlot.PRIMETIME): 15}
     assert matrix.total_seconds() == 15
 
 
@@ -53,8 +56,7 @@ def test_attribution_follows_overlap_start():
     viewing = [ViewingRecord("u1", datetime(2017, 1, 23, 18, 50), 1200, "ch1")]
     broadcasts = [AdBroadcast("p1", datetime(2017, 1, 23, 18, 58), 240, "ch1")]
     matrix = compute_exposure(viewing, broadcasts)
-    assert matrix.get("u1", "p1", 0, TimeSlot.NON_PRIMETIME) == 240
-    assert matrix.get("u1", "p1", 0, TimeSlot.PRIMETIME) == 0
+    assert matrix.cells == {("u1", "p1", 0, TimeSlot.NON_PRIMETIME): 240}
 
 
 def test_channel_mismatch_gives_nothing():
@@ -101,9 +103,10 @@ def test_additive_over_viewing_partition():
     rng = np.random.default_rng(7)
     viewing, broadcasts = _random_schedule(rng, n_viewing=12)
     whole = compute_exposure(viewing, broadcasts)
-    part = (compute_exposure(viewing[:5], broadcasts)
-            + compute_exposure(viewing[5:], broadcasts))
-    assert whole.cells == part.cells
+    summed = dict(compute_exposure(viewing[:5], broadcasts).cells)
+    for cell, seconds in compute_exposure(viewing[5:], broadcasts).cells.items():
+        summed[cell] = summed.get(cell, 0) + seconds
+    assert whole.cells == summed
 
 
 def test_total_bounded_by_broadcast_mass():
@@ -115,12 +118,16 @@ def test_total_bounded_by_broadcast_mass():
     assert matrix.total_seconds() <= bound
 
 
-def test_weekday_total_sums_slots():
+def test_weekday_total_sums_slots(tiny_catalog):
     matrix = ExposureMatrix()
-    matrix.add("u1", "p1", 2, TimeSlot.PRIMETIME, 30)
-    matrix.add("u1", "p1", 2, TimeSlot.NON_PRIMETIME, 12)
-    assert matrix.weekday_total("u1", "p1", 2) == 42
-    assert matrix.pair_total("u1", "p1") == 42
+    matrix.add("u002", "p01", 2, TimeSlot.PRIMETIME, 30)
+    matrix.add("u002", "p01", 2, TimeSlot.NON_PRIMETIME, 12)
+    matrix.add("u002", "p01", 2, TimeSlot.NON_PRIMETIME, 5)
+    panel = Panel.build(tiny_catalog, matrix)
+    assert panel.E[1, 0, 2].tolist() == [30.0, 17.0]
+    fm = build_matrix(panel, ModelBase(BaseKind.PRODUCT_BASED, "p01"),
+                      InputConfig(InputKind.VIEW_WEEKDAY), Behavior.ACTUAL_PURCHASE)
+    assert fm.values[1].tolist() == [0.0, 0.0, 47.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_audit_dump(tmp_path):

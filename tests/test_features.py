@@ -3,10 +3,10 @@ import pytest
 
 from adpredict.data_model import (AGE_BRACKETS, INCOME_BRACKETS, MARITAL_STATUSES,
                                   PARENTAL_STATUSES, SEXES, DemographicProfile)
-from adpredict.exposure import ExposureMatrix, compute_exposure
+from adpredict.exposure import ExposureMatrix, TimeSlot, compute_exposure
 from adpredict.features import (BaseKind, FeatureError, InputConfig, InputKind,
-                                ModelBase, build_matrix, encode_demographics,
-                                write_matrix, DEMOGRAPHIC_DIMS)
+                                ModelBase, Panel, build_matrix, encode_demographics,
+                                DEMOGRAPHIC_DIMS)
 from adpredict.targets import Behavior
 from conftest import random_catalog
 
@@ -49,9 +49,61 @@ def test_pi_feature_requires_demographics():
         InputConfig(InputKind.VIEW_WEEKDAY, include_pi_feature=True)
 
 
+def _panel(catalog, exposure=None) -> Panel:
+    if exposure is None:
+        exposure = compute_exposure(list(catalog.viewing), list(catalog.broadcasts))
+    return Panel.build(catalog, exposure)
+
+
+def _oracle_row(catalog, exposure, user_id, product_id, config):
+    """One feature row assembled cell by cell from the sparse join."""
+    row = []
+    if config.kind.has_viewing:
+        for weekday in range(7):
+            slots = [exposure.cells.get((user_id, product_id, weekday, slot), 0)
+                     for slot in (TimeSlot.PRIMETIME, TimeSlot.NON_PRIMETIME)]
+            row += slots if config.kind.uses_slots else [sum(slots)]
+    if config.kind.has_demographics:
+        profile = next(u for u in catalog.users if u.user_id == user_id)
+        row += encode_demographics(profile).tolist()
+    if config.include_pi_feature:
+        response = next(r for r in catalog.responses
+                        if (r.user_id, r.product_id) == (user_id, product_id))
+        row.append(1.0 if response.pi_jan else 0.0)
+    return row
+
+
+def test_slices_match_per_row_oracle():
+    rng = np.random.default_rng(29)
+    configs = [InputConfig(kind) for kind in InputKind] + [
+        InputConfig(kind, include_pi_feature=True)
+        for kind in InputKind if kind.has_demographics]
+    for _ in range(6):
+        catalog = random_catalog(rng, n_users=4, n_products=4, n_viewing=14,
+                                 n_broadcasts=10)
+        exposure = compute_exposure(list(catalog.viewing), list(catalog.broadcasts))
+        panel = Panel.build(catalog, exposure)
+        bases = ([ModelBase(BaseKind.PRODUCT_BASED, p)
+                  for p in catalog.advert_matched_products]
+                 + [ModelBase(BaseKind.USER_BASED, u) for u in catalog.user_ids])
+        for base in bases:
+            if base.kind is BaseKind.PRODUCT_BASED:
+                keys = [(u, base.base_id) for u in catalog.user_ids]
+            else:
+                keys = [(base.base_id, p) for p in catalog.advert_matched_products]
+            for config in configs:
+                fm = build_matrix(panel, base, config, Behavior.ACTUAL_PURCHASE)
+                assert fm.row_keys == keys
+                assert fm.values.tolist() == [
+                    _oracle_row(catalog, exposure, u, p, config) for u, p in keys]
+            responses = {(r.user_id, r.product_id): r for r in catalog.responses}
+            jan, mar = panel.waves(base, Behavior.PURCHASE_INTENTION)
+            assert jan.tolist() == [responses[key].pi_jan for key in keys]
+            assert mar.tolist() == [responses[key].pi_mar for key in keys]
+
+
 def test_dims_per_configuration(tiny_catalog):
-    exposure = compute_exposure(list(tiny_catalog.viewing),
-                                list(tiny_catalog.broadcasts))
+    panel = _panel(tiny_catalog)
     base = ModelBase(BaseKind.PRODUCT_BASED, "p01")
     expected = {
         InputKind.VIEW_WEEKDAY: 7,
@@ -61,12 +113,11 @@ def test_dims_per_configuration(tiny_catalog):
         InputKind.VIEW_WEEKDAY_SLOT_DEMO: 39,
     }
     for kind, dims in expected.items():
-        fm = build_matrix(tiny_catalog, exposure, base, InputConfig(kind),
-                          Behavior.ACTUAL_PURCHASE)
+        fm = build_matrix(panel, base, InputConfig(kind), Behavior.ACTUAL_PURCHASE)
         assert fm.dims == dims
         assert fm.rows == 2
         assert len(fm.feature_names) == dims
-    with_pi = build_matrix(tiny_catalog, exposure, base,
+    with_pi = build_matrix(panel, base,
                            InputConfig(InputKind.VIEW_WEEKDAY_SLOT_DEMO,
                                        include_pi_feature=True),
                            Behavior.ACTUAL_PURCHASE)
@@ -75,18 +126,14 @@ def test_dims_per_configuration(tiny_catalog):
 
 
 def test_pi_feature_blocked_for_pi_target(tiny_catalog):
-    exposure = compute_exposure(list(tiny_catalog.viewing),
-                                list(tiny_catalog.broadcasts))
     with pytest.raises(FeatureError, match="predicting purchase intention"):
-        build_matrix(tiny_catalog, exposure, ModelBase(BaseKind.PRODUCT_BASED, "p01"),
+        build_matrix(_panel(tiny_catalog), ModelBase(BaseKind.PRODUCT_BASED, "p01"),
                      InputConfig(InputKind.DEMOGRAPHICS, include_pi_feature=True),
                      Behavior.PURCHASE_INTENTION)
 
 
 def test_pi_feature_value_is_january_wave(tiny_catalog):
-    exposure = compute_exposure(list(tiny_catalog.viewing),
-                                list(tiny_catalog.broadcasts))
-    fm = build_matrix(tiny_catalog, exposure, ModelBase(BaseKind.PRODUCT_BASED, "p01"),
+    fm = build_matrix(_panel(tiny_catalog), ModelBase(BaseKind.PRODUCT_BASED, "p01"),
                       InputConfig(InputKind.DEMOGRAPHICS, include_pi_feature=True),
                       Behavior.ACTUAL_PURCHASE)
     # pi_jan for (u001, p01) is True, for (u002, p01) is False.
@@ -96,19 +143,17 @@ def test_pi_feature_value_is_january_wave(tiny_catalog):
 
 
 def test_unknown_base_rejected(tiny_catalog):
-    exposure = ExposureMatrix()
+    panel = _panel(tiny_catalog, ExposureMatrix())
     with pytest.raises(FeatureError, match="unmatched product"):
-        build_matrix(tiny_catalog, exposure, ModelBase(BaseKind.PRODUCT_BASED, "p02"),
+        build_matrix(panel, ModelBase(BaseKind.PRODUCT_BASED, "p02"),
                      InputConfig(InputKind.VIEW_WEEKDAY), Behavior.ACTUAL_PURCHASE)
     with pytest.raises(FeatureError, match="unknown user"):
-        build_matrix(tiny_catalog, exposure, ModelBase(BaseKind.USER_BASED, "u999"),
+        build_matrix(panel, ModelBase(BaseKind.USER_BASED, "u999"),
                      InputConfig(InputKind.VIEW_WEEKDAY), Behavior.ACTUAL_PURCHASE)
 
 
 def test_product_base_exposure_rows(tiny_catalog):
-    exposure = compute_exposure(list(tiny_catalog.viewing),
-                                list(tiny_catalog.broadcasts))
-    fm = build_matrix(tiny_catalog, exposure, ModelBase(BaseKind.PRODUCT_BASED, "p01"),
+    fm = build_matrix(_panel(tiny_catalog), ModelBase(BaseKind.PRODUCT_BASED, "p01"),
                       InputConfig(InputKind.VIEW_WEEKDAY_SLOT),
                       Behavior.ACTUAL_PURCHASE)
     # Monday primetime column is index 0; u001 saw the full 15 s advert.
@@ -117,9 +162,7 @@ def test_product_base_exposure_rows(tiny_catalog):
 
 
 def test_user_base_demographics_rows_identical(tiny_catalog):
-    exposure = compute_exposure(list(tiny_catalog.viewing),
-                                list(tiny_catalog.broadcasts))
-    fm = build_matrix(tiny_catalog, exposure, ModelBase(BaseKind.USER_BASED, "u001"),
+    fm = build_matrix(_panel(tiny_catalog), ModelBase(BaseKind.USER_BASED, "u001"),
                       InputConfig(InputKind.DEMOGRAPHICS), Behavior.ACTUAL_PURCHASE)
     # One row per advert-matched product, all carrying the same user vector.
     assert fm.rows == 1  # only p01 is advert-matched in the tiny catalog
@@ -134,9 +177,8 @@ def test_user_base_demographics_degenerate_constant_rows():
     catalog = random_catalog(rng, n_users=3, n_products=4,
                              n_broadcast_products=4, n_broadcasts=12)
     assert len(catalog.advert_matched_products) >= 2
-    exposure = compute_exposure(list(catalog.viewing), list(catalog.broadcasts))
     user = catalog.user_ids[0]
-    fm = build_matrix(catalog, exposure, ModelBase(BaseKind.USER_BASED, user),
+    fm = build_matrix(_panel(catalog), ModelBase(BaseKind.USER_BASED, user),
                       InputConfig(InputKind.DEMOGRAPHICS), Behavior.ACTUAL_PURCHASE)
     assert fm.rows == len(catalog.advert_matched_products)
     assert np.all(fm.values == fm.values[0])
@@ -149,42 +191,18 @@ def test_weekday_matrix_is_slot_marginalization():
                                  n_broadcasts=10)
         if not catalog.advert_matched_products:
             continue
-        exposure = compute_exposure(list(catalog.viewing), list(catalog.broadcasts))
+        panel = _panel(catalog)
         base = ModelBase(BaseKind.PRODUCT_BASED, catalog.advert_matched_products[0])
-        slot_fm = build_matrix(catalog, exposure, base,
-                               InputConfig(InputKind.VIEW_WEEKDAY_SLOT),
+        slot_fm = build_matrix(panel, base, InputConfig(InputKind.VIEW_WEEKDAY_SLOT),
                                Behavior.ACTUAL_PURCHASE)
-        week_fm = build_matrix(catalog, exposure, base,
-                               InputConfig(InputKind.VIEW_WEEKDAY),
+        week_fm = build_matrix(panel, base, InputConfig(InputKind.VIEW_WEEKDAY),
                                Behavior.ACTUAL_PURCHASE)
         collapsed = slot_fm.values.reshape(slot_fm.rows, 7, 2).sum(axis=2)
         assert np.array_equal(collapsed, week_fm.values)
 
 
 def test_rows_sorted_by_user_product(tiny_catalog):
-    exposure = ExposureMatrix()
-    fm = build_matrix(tiny_catalog, exposure, ModelBase(BaseKind.PRODUCT_BASED, "p01"),
+    fm = build_matrix(_panel(tiny_catalog, ExposureMatrix()),
+                      ModelBase(BaseKind.PRODUCT_BASED, "p01"),
                       InputConfig(InputKind.DEMOGRAPHICS), Behavior.ACTUAL_PURCHASE)
     assert fm.row_keys == sorted(fm.row_keys)
-
-
-def test_standardize_flag(tiny_catalog):
-    exposure = compute_exposure(list(tiny_catalog.viewing),
-                                list(tiny_catalog.broadcasts))
-    fm = build_matrix(tiny_catalog, exposure, ModelBase(BaseKind.PRODUCT_BASED, "p01"),
-                      InputConfig(InputKind.VIEW_WEEKDAY_SLOT),
-                      Behavior.ACTUAL_PURCHASE, standardize=True)
-    nonconstant = fm.values.std(axis=0) > 0
-    assert np.allclose(fm.values.mean(axis=0), 0.0)
-    assert np.allclose(fm.values.std(axis=0)[nonconstant], 1.0)
-
-
-def test_matrix_dump_header(tiny_catalog, tmp_path):
-    exposure = ExposureMatrix()
-    fm = build_matrix(tiny_catalog, exposure, ModelBase(BaseKind.PRODUCT_BASED, "p01"),
-                      InputConfig(InputKind.VIEW_WEEKDAY), Behavior.ACTUAL_PURCHASE)
-    path = tmp_path / "matrix.tsv"
-    write_matrix(fm, path)
-    header = path.read_text().splitlines()[0].split("\t")
-    assert header[:2] == ["user_id", "product_id"]
-    assert header[2:] == fm.feature_names

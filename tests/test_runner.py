@@ -4,7 +4,7 @@ import pytest
 from adpredict.features import InputKind
 from adpredict.runner import (MatrixConfig, RESULTS_FILE, RunnerError, SPECS_FILE,
                               StoreError, enumerate_experiments, load_score_records,
-                              matrix_counts, remaining_specs, run_matrix, spec_seed)
+                              matrix_counts, run_matrix, spec_seed)
 from adpredict.learners import LearnerParams
 from adpredict.synthgen import GenConfig, generate_panel
 from adpredict.targets import Behavior
@@ -136,9 +136,19 @@ def test_store_row_count_equals_spec_count(small_catalog, tmp_path):
     assert manifest["counts_by_base_kind"]["user"] > 0
 
 
+def _resume(catalog, store, global_seed) -> list[str]:
+    """Resume ``store``; returns the spec ids the resumed run executed."""
+    executed = []
+    run_matrix(catalog, SMALL_MATRIX, store, global_seed=global_seed, resume=True,
+               progress=lambda done, total, spec_id, status: executed.append(spec_id))
+    return executed
+
+
 def test_resume_on_complete_store_is_empty(small_catalog, tmp_path):
     run_matrix(small_catalog, SMALL_MATRIX, tmp_path / "s", global_seed=1)
-    assert remaining_specs(small_catalog, tmp_path / "s") == []
+    before = (tmp_path / "s" / RESULTS_FILE).read_bytes()
+    assert _resume(small_catalog, tmp_path / "s", global_seed=1) == []
+    assert (tmp_path / "s" / RESULTS_FILE).read_bytes() == before
 
 
 def test_limit_then_resume_matches_uninterrupted(small_catalog, tmp_path):
@@ -146,12 +156,28 @@ def test_limit_then_resume_matches_uninterrupted(small_catalog, tmp_path):
     part_dir = tmp_path / "part"
     run_matrix(small_catalog, SMALL_MATRIX, full_dir, global_seed=4)
     run_matrix(small_catalog, SMALL_MATRIX, part_dir, global_seed=4, limit=7)
-    remaining = remaining_specs(small_catalog, part_dir)
-    total = len(enumerate_experiments(small_catalog, SMALL_MATRIX))
-    assert len(remaining) == total - 7
-    run_matrix(small_catalog, SMALL_MATRIX, part_dir, global_seed=4, resume=True)
+    specs = enumerate_experiments(small_catalog, SMALL_MATRIX)
+    executed = _resume(small_catalog, part_dir, global_seed=4)
+    assert executed == [spec.spec_id for spec in specs[7:]]
     assert ((full_dir / RESULTS_FILE).read_bytes()
             == (part_dir / RESULTS_FILE).read_bytes())
+
+
+def test_resume_after_torn_row_matches_uninterrupted(small_catalog, tmp_path):
+    full_dir = tmp_path / "full"
+    part_dir = tmp_path / "part"
+    run_matrix(small_catalog, SMALL_MATRIX, full_dir, global_seed=4)
+    run_matrix(small_catalog, SMALL_MATRIX, part_dir, global_seed=4, limit=7)
+    # A run killed mid-append leaves half of the eighth row behind.
+    eighth_row = (full_dir / RESULTS_FILE).read_text().splitlines()[8]
+    with (part_dir / RESULTS_FILE).open("a") as fh:
+        fh.write(eighth_row[:len(eighth_row) // 2])
+    _resume(small_catalog, part_dir, global_seed=4)
+    assert ((full_dir / RESULTS_FILE).read_bytes()
+            == (part_dir / RESULTS_FILE).read_bytes())
+    records, failures = load_score_records(part_dir)
+    assert len(records) + len(failures) == len(
+        enumerate_experiments(small_catalog, SMALL_MATRIX))
 
 
 def test_resume_rejects_changed_catalog(small_catalog, tmp_path):
@@ -160,8 +186,6 @@ def test_resume_rejects_changed_catalog(small_catalog, tmp_path):
                                      seed=6, broadcasts_per_day=3))
     with pytest.raises(StoreError, match="fingerprint"):
         run_matrix(other, SMALL_MATRIX, tmp_path / "s", global_seed=4, resume=True)
-    with pytest.raises(StoreError, match="fingerprint"):
-        remaining_specs(other, tmp_path / "s")
 
 
 def test_resume_rejects_changed_seed(small_catalog, tmp_path):

@@ -7,7 +7,7 @@ from adpredict.data_model import serialize_tables
 from adpredict.evaluation import cross_validate
 from adpredict.exposure import TimeSlot, compute_exposure
 from adpredict.features import (BaseKind, DEMOGRAPHIC_DIMS, InputConfig, InputKind,
-                                ModelBase, build_matrix)
+                                ModelBase, Panel, build_matrix)
 from adpredict.learners import LearnerParams, sigmoid
 from adpredict.synthgen import (CalibrationError, GenConfig, calibrate_intercept,
                                 default_base_rates, generate_panel, solve_intercept)
@@ -121,16 +121,13 @@ def test_planted_exposure_effect_is_detectable():
                                seed=seed, beta_exposure=beta,
                                broadcasts_per_day=6)
             catalog = generate_panel(config)
-            exposure = compute_exposure(list(catalog.viewing),
-                                        list(catalog.broadcasts))
-            responses = catalog.response_map()
+            panel = Panel.build(catalog, compute_exposure(list(catalog.viewing),
+                                                          list(catalog.broadcasts)))
             for product in catalog.advert_matched_products:
-                fm = build_matrix(catalog, exposure,
-                                  ModelBase(BaseKind.PRODUCT_BASED, product),
-                                  InputConfig(InputKind.VIEW_WEEKDAY),
+                base = ModelBase(BaseKind.PRODUCT_BASED, product)
+                fm = build_matrix(panel, base, InputConfig(InputKind.VIEW_WEEKDAY),
                                   Behavior.ACTUAL_PURCHASE)
-                y = label_vector([responses[k] for k in fm.row_keys],
-                                 Behavior.ACTUAL_PURCHASE, 4)
+                y = label_vector(*panel.waves(base, Behavior.ACTUAL_PURCHASE), 4)
                 cv = cross_validate(fm.values, y, "logreg", LearnerParams(),
                                     5, seed)
                 scores.append(cv.mean_f1)

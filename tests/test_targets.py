@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from adpredict.data_model import SurveyResponse
+from adpredict.exposure import ExposureMatrix
+from adpredict.features import BaseKind, ModelBase, Panel
 from adpredict.synthgen import GenConfig, generate_panel
 from adpredict.targets import (Behavior, CATEGORIES, categorize,
-                               category_distribution, label_vector)
+                               category_distribution, label_vector, wave_answers)
 
 
 def _resp(pi_jan, pi_mar, ap_jan, ap_mar, user="u1", product="p1"):
@@ -29,10 +31,23 @@ def test_categorize_outputs_satisfy_category_set_invariants():
             assert (5 in members) == (members & {0, 1} != set())
 
 
+def _waves(responses, behavior):
+    jan, mar = np.array([wave_answers(r, behavior) for r in responses]).T
+    return jan, mar
+
+
 def test_label_vector_all_no():
-    responses = [_resp(False, False, False, False) for _ in range(4)]
-    assert label_vector(responses, Behavior.ACTUAL_PURCHASE, 1).tolist() == [1, 1, 1, 1]
-    assert label_vector(responses, Behavior.ACTUAL_PURCHASE, 4).tolist() == [0, 0, 0, 0]
+    jan = mar = np.zeros(4, dtype=bool)
+    assert label_vector(jan, mar, 1).tolist() == [1, 1, 1, 1]
+    assert label_vector(jan, mar, 4).tolist() == [0, 0, 0, 0]
+
+
+def test_label_vector_matches_categorize():
+    jan = np.array([True, False, False, True])
+    mar = np.array([False, False, True, True])
+    for category in CATEGORIES:
+        expected = [int(category in categorize(j, m)) for j, m in zip(jan, mar)]
+        assert label_vector(jan, mar, category).tolist() == expected
 
 
 def test_label_vector_category5_marks_march_no():
@@ -40,21 +55,28 @@ def test_label_vector_category5_marks_march_no():
     answers = [(True, False), (False, False), (False, True),
                (True, True), (False, False), (True, True)]
     responses = [_resp(False, False, jan, mar) for jan, mar in answers]
-    labels = label_vector(responses, Behavior.ACTUAL_PURCHASE, 5)
+    labels = label_vector(*_waves(responses, Behavior.ACTUAL_PURCHASE), 5)
     assert labels.tolist() == [1 if not mar else 0 for _, mar in answers]
 
 
-def test_label_vector_uses_requested_behavior():
-    responses = [_resp(True, True, False, False)]
-    assert label_vector(responses, Behavior.PURCHASE_INTENTION, 3).tolist() == [1]
-    assert label_vector(responses, Behavior.ACTUAL_PURCHASE, 3).tolist() == [0]
+def test_label_vector_uses_requested_behavior(tiny_catalog):
+    # Rows of product p01: u001 answers pi (yes, no), ap (yes, no);
+    # u002 answers pi (no, yes), ap (yes, yes).
+    panel = Panel.build(tiny_catalog, ExposureMatrix())
+    base = ModelBase(BaseKind.PRODUCT_BASED, "p01")
+    pi = panel.waves(base, Behavior.PURCHASE_INTENTION)
+    ap = panel.waves(base, Behavior.ACTUAL_PURCHASE)
+    assert label_vector(*pi, 2).tolist() == [0, 1]
+    assert label_vector(*pi, 3).tolist() == [0, 0]
+    assert label_vector(*ap, 3).tolist() == [0, 1]
+    assert label_vector(*ap, 0).tolist() == [1, 0]
 
 
 def test_label_vector_rejects_empty_and_bad_category():
     with pytest.raises(ValueError):
-        label_vector([], Behavior.ACTUAL_PURCHASE, 1)
+        label_vector(np.array([], dtype=bool), np.array([], dtype=bool), 1)
     with pytest.raises(ValueError):
-        label_vector([_resp(True, True, True, True)], Behavior.ACTUAL_PURCHASE, 6)
+        label_vector(np.array([True]), np.array([True]), 6)
 
 
 def test_distribution_single_yes_yes():
@@ -95,7 +117,7 @@ def test_category_count_identities_on_generated_panel():
                                        broadcasts_per_day=4))
     responses = list(catalog.responses)
     for behavior in Behavior:
-        counts = {c: int(label_vector(responses, behavior, c).sum())
+        counts = {c: int(label_vector(*_waves(responses, behavior), c).sum())
                   for c in CATEGORIES}
         assert counts[4] == counts[2] + counts[3]
         assert counts[5] == counts[0] + counts[1]
