@@ -218,13 +218,21 @@ class Catalog:
         return tuple(p for p in self.products if p in matched)
 
     def fingerprint(self) -> str:
-        """Content hash of the canonical serialization, independent of file layout."""
-        digest = hashlib.sha256()
-        for name, payload in sorted(serialize_tables(self).items()):
-            digest.update(name.encode("utf-8"))
-            digest.update(b"\x00")
-            digest.update(payload)
-        return digest.hexdigest()
+        """Content hash of the canonical serialization, independent of file layout.
+
+        The tables are immutable, so the digest is computed once per instance
+        and kept outside the dataclass fields (equality ignores it).
+        """
+        cached = self.__dict__.get("_fingerprint")
+        if cached is None:
+            digest = hashlib.sha256()
+            for name, payload in sorted(serialize_tables(self).items()):
+                digest.update(name.encode("utf-8"))
+                digest.update(b"\x00")
+                digest.update(payload)
+            cached = digest.hexdigest()
+            object.__setattr__(self, "_fingerprint", cached)
+        return cached
 
 
 def _format_bool(value: bool) -> str:

@@ -178,6 +178,13 @@ def svm_primal_objective(weights: np.ndarray, bias: float, X: np.ndarray,
     return 0.5 * float(weights @ weights) + c * float(np.maximum(0.0, margins).sum())
 
 
+# Memory one SVM fit may spend on cached kernel rows. Each cached row k holds
+# K[k, :] = X @ X[k] and the second-order denominators against k, 16 bytes
+# per training row; the least recently used row goes first. Rows are pure
+# functions of (X, k), so the budget never changes a result bit.
+_SVM_ROW_CACHE_BYTES = 32 << 20
+
+
 def train_svm(X, y, params: LearnerParams = LearnerParams(),
               epoch_callback=None) -> LinearModel:
     """Max-margin hinge-loss linear classifier trained through the dual.
@@ -187,10 +194,19 @@ def train_svm(X, y, params: LearnerParams = LearnerParams(),
     matches the stated primal exactly. The first pair element is the
     maximal violator; its partner is chosen by the second-order rule
     (largest analytic gain), which converges far faster on badly scaled
-    features such as raw exposure seconds. Stops when the maximal KKT
-    violation drops below ``svm_tol`` or after ``svm_max_epochs`` epochs of
-    n pair updates; on ill-conditioned inputs the cap binds by design,
-    yielding a deterministic budgeted model.
+    features such as raw exposure seconds (Fan, Chen & Lin, JMLR 2005).
+    Stops when the maximal KKT violation drops below ``svm_tol`` or after
+    ``svm_max_epochs`` epochs of n pair updates; on ill-conditioned inputs
+    the cap binds by design, yielding a deterministic budgeted model.
+
+    The optimality state is kept up to date between pair updates, as in
+    SVMlight (Joachims, 1999): the decision values shift by two kernel
+    rows, and the bound masks change only at the two updated rows. Kernel
+    rows ``X @ X[k]`` and their second-order denominators are cached per
+    fit within ``_SVM_ROW_CACHE_BYTES`` (least recently used row evicted
+    first), so one pair update costs a fixed handful of array operations.
+    An evicted row is recomputed by the same expression, so the model does
+    not depend on the budget.
 
     ``epoch_callback(epoch_index, dual_value)`` is invoked once per epoch
     with the minimization-form dual objective, which decreases
@@ -207,57 +223,101 @@ def train_svm(X, y, params: LearnerParams = LearnerParams(),
     eps = 1e-12
     tau = 1e-12
 
-    alpha = np.zeros(n)
-    w = np.zeros(d)
+    def bound_sets(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # up: alpha_i may move along +t_i; low: alpha_j may move along -t_j.
+        return (((t > 0) & (alpha < c - eps)) | ((t < 0) & (alpha > eps)),
+                ((t < 0) & (alpha < c - eps)) | ((t > 0) & (alpha > eps)))
+
+    up, low = (mask.tolist() for mask in bound_sets(np.zeros(n)))
+    n_up, n_low = sum(up), sum(low)
+    # Adding a penalty of 0 inside the set and -inf (up) or +inf (low)
+    # outside masks a full-length scan; argmax and argmin then keep the
+    # first-index tie rule of a scan over the ascending members.
+    up_pen = np.where(up, 0.0, -math.inf)
+    low_pen = np.where(low, 0.0, math.inf)
+    # Scalar bookkeeping runs on Python floats, which round like float64.
     sq_norms = np.einsum("ij,ij->i", X, X)
+    alpha, signs, sq = [0.0] * n, t.tolist(), sq_norms.tolist()
     # Decision values are maintained incrementally; each pair update shifts
-    # them by step * (K[:, i] - K[:, j]).
+    # them by step * (K[:, i] - K[:, j]). neg_yg = -t * grad = t - decisions,
+    # bit for bit for labels of +-1 up to the sign of a zero, which no
+    # comparison or step below can see.
     decisions = np.zeros(n)
-    max_updates = params.svm_max_epochs * n
+    neg_yg = t - decisions
+    rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    max_rows = max(2, _SVM_ROW_CACHE_BYTES // (16 * n))
 
-    for update in range(max_updates):
+    def kernel_row(k: int) -> tuple[np.ndarray, np.ndarray]:
+        hit = rows.pop(k, None)
+        if hit is None:
+            k_row = X @ X[k]
+            hit = (k_row, 2.0 * np.maximum(sq[k] + sq_norms - 2.0 * k_row, tau))
+            if len(rows) >= max_rows:
+                del rows[next(iter(rows))]
+        rows[k] = hit
+        return hit
+
+    # w moves by step * (X[i] - X[j]) per update. The moves are buffered and
+    # folded in by a sequential accumulate, which rounds exactly like adding
+    # them one at a time.
+    w = np.zeros(d)
+    moves: list[tuple[int, int, float]] = []
+
+    def fold_moves(w: np.ndarray) -> np.ndarray:
+        if moves:
+            first, second, steps = (list(col) for col in zip(*moves))
+            terms = np.array(steps)[:, None] * (X[first] - X[second])
+            w = np.add.accumulate(np.vstack([w, terms]))[-1]
+            moves.clear()
+        return w
+
+    for update in range(params.svm_max_epochs * n):
         if epoch_callback is not None and update % n == 0:
-            epoch_callback(update // n, 0.5 * float(w @ w) - float(alpha.sum()))
-        neg_yg = -t * (t * decisions - 1.0)
-        up = ((t > 0) & (alpha < c - eps)) | ((t < 0) & (alpha > eps))
-        low = ((t < 0) & (alpha < c - eps)) | ((t > 0) & (alpha > eps))
-        if not up.any() or not low.any():
+            w = fold_moves(w)
+            epoch_callback(update // n, 0.5 * float(w @ w) - float(np.sum(alpha)))
+        if not n_up or not n_low:
             break
-        up_idx = np.flatnonzero(up)
-        low_idx = np.flatnonzero(low)
-        i = up_idx[np.argmax(neg_yg[up_idx])]
-        m_val = neg_yg[i]
-        if m_val - neg_yg[low_idx].min() <= params.svm_tol:
+        i = int((neg_yg + up_pen).argmax())
+        low_neg_yg = neg_yg + low_pen
+        m_val = float(neg_yg[i])
+        if m_val - float(low_neg_yg[low_neg_yg.argmin()]) <= params.svm_tol:
             break
 
-        k_i = X @ X[i]
-        quad_all = np.maximum(sq_norms[i] + sq_norms[low_idx] - 2.0 * k_i[low_idx],
-                              tau)
-        violation = m_val - neg_yg[low_idx]
-        gains = np.where(violation > 0, violation * violation / (2.0 * quad_all),
-                         -math.inf)
-        j = low_idx[np.argmax(gains)]
+        k_i, quad_i = kernel_row(i)
+        violation = m_val - low_neg_yg
+        gains = np.where(violation > 0, violation * violation / quad_i, -math.inf)
+        j = int(gains.argmax())
 
         # Feasible direction: alpha_i moves by t_i*step, alpha_j by -t_j*step.
-        hi_i = (c - alpha[i]) if t[i] > 0 else alpha[i]
-        hi_j = alpha[j] if t[j] > 0 else (c - alpha[j])
-        quad = max(sq_norms[i] + sq_norms[j] - 2.0 * float(k_i[j]), tau)
-        step = min((m_val - neg_yg[j]) / quad, min(hi_i, hi_j))
+        hi_i = (c - alpha[i]) if signs[i] > 0 else alpha[i]
+        hi_j = alpha[j] if signs[j] > 0 else (c - alpha[j])
+        quad = max(sq[i] + sq[j] - 2.0 * float(k_i[j]), tau)
+        step = min((m_val - float(neg_yg[j])) / quad, min(hi_i, hi_j))
         if step <= 0:
             break
-        alpha[i] = min(max(alpha[i] + t[i] * step, 0.0), c)
-        alpha[j] = min(max(alpha[j] - t[j] * step, 0.0), c)
-        k_j = X @ X[j]
-        decisions = decisions + step * (k_i - k_j)
-        w = w + step * (X[i] - X[j])
+        alpha[i] = min(max(alpha[i] + signs[i] * step, 0.0), c)
+        alpha[j] = min(max(alpha[j] - signs[j] * step, 0.0), c)
+        for k in (i, j):
+            a, s = alpha[k], signs[k]
+            is_up = (s > 0 and a < c - eps) or (s < 0 and a > eps)
+            is_low = (s < 0 and a < c - eps) or (s > 0 and a > eps)
+            n_up += is_up - up[k]
+            n_low += is_low - low[k]
+            up[k], low[k] = is_up, is_low
+            up_pen[k] = 0.0 if is_up else -math.inf
+            low_pen[k] = 0.0 if is_low else math.inf
+        decisions += step * (k_i - kernel_row(j)[0])
+        np.subtract(t, decisions, out=neg_yg)
+        moves.append((i, j, step))
 
+    w = fold_moves(w)
+    alpha = np.array(alpha)
     if epoch_callback is not None:
         epoch_callback(-1, 0.5 * float(w @ w) - float(alpha.sum()))
     # Recompute the violation bounds at the final iterate to place the bias.
     decisions = X @ w
     neg_yg = -t * (t * decisions - 1.0)
-    up = ((t > 0) & (alpha < c - eps)) | ((t < 0) & (alpha > eps))
-    low = ((t < 0) & (alpha < c - eps)) | ((t > 0) & (alpha > eps))
+    up, low = bound_sets(alpha)
     if up.any() and low.any():
         bias = (neg_yg[up].max() + neg_yg[low].min()) / 2.0
     else:

@@ -323,12 +323,20 @@ def run_matrix(catalog: Catalog, matrix: MatrixConfig, out_dir: str | Path,
     seeds = {spec.spec_id: spec_seed(global_seed, spec.spec_id) for spec in specs}
     fingerprint = catalog.fingerprint()
 
+    specs_text = "".join(["\t".join(_SPEC_COLUMNS) + "\n"]
+                         + [_row_head(spec, seeds[spec.spec_id]) + "\n" for spec in specs])
+    identity = {"global_seed": global_seed, "fingerprint": fingerprint,
+                "matrix": matrix.to_dict(), "spec_count": len(specs)}
     if resume:
         manifest = _load_manifest(manifest_path)
         if manifest["fingerprint"] != fingerprint:
             raise StoreError("catalog fingerprint does not match the manifest")
-        if manifest["matrix"] != matrix.to_dict() or manifest["global_seed"] != global_seed:
+        if manifest["matrix"] != identity["matrix"] or manifest["global_seed"] != global_seed:
             raise StoreError("matrix configuration or seed does not match the manifest")
+        if not specs_path.exists() or specs_path.read_bytes() != specs_text.encode("utf-8"):
+            raise StoreError(f"{specs_path} does not match the enumeration")
+        if not results_path.exists():  # killed between manifest and log
+            _write_atomic(results_path, "\t".join(_RESULT_COLUMNS) + "\n")
         executed = {row["spec_id"] for row in _read_result_rows(results_path)}
         remaining = [spec for spec in specs if spec.spec_id not in executed]
         # Drop a torn final line so that appends start on a fresh row.
@@ -336,11 +344,10 @@ def run_matrix(catalog: Catalog, matrix: MatrixConfig, out_dir: str | Path,
     else:
         if results_path.exists():
             raise StoreError(f"{results_path} already exists; use resume")
-        results_path.write_text("\t".join(_RESULT_COLUMNS) + "\n", encoding="utf-8")
-        with specs_path.open("w", encoding="utf-8") as fh:
-            fh.write("\t".join(_SPEC_COLUMNS) + "\n")
-            for spec in specs:
-                fh.write(_row_head(spec, seeds[spec.spec_id]) + "\n")
+        # The log is created last: once it exists, the store can be resumed.
+        _write_atomic(specs_path, specs_text)
+        _write_atomic(manifest_path, json.dumps(identity, indent=1) + "\n")
+        _write_atomic(results_path, "\t".join(_RESULT_COLUMNS) + "\n")
         executed = set()
         remaining = specs
 
@@ -385,24 +392,28 @@ def run_matrix(catalog: Catalog, matrix: MatrixConfig, out_dir: str | Path,
         kind = spec.base.kind.value
         by_base_kind[kind] = by_base_kind.get(kind, 0) + 1
     manifest = {
-        "global_seed": global_seed,
-        "fingerprint": fingerprint,
-        "matrix": matrix.to_dict(),
+        **identity,
         "counts": counts,
-        "spec_count": total,
         "counts_by_model": by_model,
         "counts_by_base_kind": by_base_kind,
         "executed": done,
         "workers": workers,
         "wall_seconds": round(time.time() - started, 3),
     }
-    manifest_path.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
+    _write_atomic(manifest_path, json.dumps(manifest, indent=1) + "\n")
     return manifest
 
 
 # ---------------------------------------------------------------------------
 # Store access.
 # ---------------------------------------------------------------------------
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` so that a reader sees old or new, never half."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
 
 def _load_manifest(path: Path) -> dict:
     if not path.exists():

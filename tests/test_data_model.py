@@ -126,3 +126,14 @@ def test_serialized_tables_have_sorted_rows(tiny_catalog):
     survey_lines = tables["survey"].decode().splitlines()[1:]
     keys = [tuple(line.split("\t")[:2]) for line in survey_lines]
     assert keys == sorted(keys)
+
+
+def test_fingerprint_is_memoized_and_ignored_by_equality(tiny_catalog, tmp_path):
+    write_catalog(tiny_catalog, tmp_path)
+    first = parse_catalog(tmp_path)
+    second = parse_catalog(tmp_path)
+    fp = first.fingerprint()
+    assert first.fingerprint() is fp  # served from the instance, not recomputed
+    assert first == second  # the memo on one side does not break equality
+    assert second.fingerprint() == fp == tiny_catalog.fingerprint()
+    assert hash(first) == hash(second)

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from adpredict import learners
 from adpredict.learners import (LearnerError, LearnerParams,
                                 LinearModel, apply_tree, binary_log_loss,
                                 logistic_gradient, logistic_objective,
@@ -85,6 +88,117 @@ def test_svm_primal_close_to_subgradient_oracle():
 def test_svm_rejects_bad_labels():
     with pytest.raises(LearnerError):
         train_svm(np.zeros((3, 2)), np.array([0, 1, 2]))
+
+
+def reference_train_svm(X, y, params=LearnerParams(), epoch_callback=None):
+    """The straightforward solver that ``train_svm`` must reproduce bit for bit.
+
+    Same pair rule, recomputed from scratch on every update: masks, index
+    lists and kernel rows, with no cache and no incremental state.
+    """
+    X, y = learners._check_training_input(X, y)
+    classes = np.unique(y)
+    if classes.size == 1:
+        return learners._constant_model_for(classes[0], "svm", X.shape[1])
+    X, y = learners._canonical_order(X, y)
+    n, d = X.shape
+    t = 2.0 * y - 1.0
+    c = params.svm_c
+    eps = 1e-12
+    tau = 1e-12
+    alpha = np.zeros(n)
+    w = np.zeros(d)
+    sq_norms = np.einsum("ij,ij->i", X, X)
+    decisions = np.zeros(n)
+    for update in range(params.svm_max_epochs * n):
+        if epoch_callback is not None and update % n == 0:
+            epoch_callback(update // n, 0.5 * float(w @ w) - float(alpha.sum()))
+        neg_yg = -t * (t * decisions - 1.0)
+        up = ((t > 0) & (alpha < c - eps)) | ((t < 0) & (alpha > eps))
+        low = ((t < 0) & (alpha < c - eps)) | ((t > 0) & (alpha > eps))
+        if not up.any() or not low.any():
+            break
+        up_idx = np.flatnonzero(up)
+        low_idx = np.flatnonzero(low)
+        i = up_idx[np.argmax(neg_yg[up_idx])]
+        m_val = neg_yg[i]
+        if m_val - neg_yg[low_idx].min() <= params.svm_tol:
+            break
+        k_i = X @ X[i]
+        quad_all = np.maximum(sq_norms[i] + sq_norms[low_idx] - 2.0 * k_i[low_idx],
+                              tau)
+        violation = m_val - neg_yg[low_idx]
+        gains = np.where(violation > 0, violation * violation / (2.0 * quad_all),
+                         -math.inf)
+        j = low_idx[np.argmax(gains)]
+        hi_i = (c - alpha[i]) if t[i] > 0 else alpha[i]
+        hi_j = alpha[j] if t[j] > 0 else (c - alpha[j])
+        quad = max(sq_norms[i] + sq_norms[j] - 2.0 * float(k_i[j]), tau)
+        step = min((m_val - neg_yg[j]) / quad, min(hi_i, hi_j))
+        if step <= 0:
+            break
+        alpha[i] = min(max(alpha[i] + t[i] * step, 0.0), c)
+        alpha[j] = min(max(alpha[j] - t[j] * step, 0.0), c)
+        k_j = X @ X[j]
+        decisions = decisions + step * (k_i - k_j)
+        w = w + step * (X[i] - X[j])
+    if epoch_callback is not None:
+        epoch_callback(-1, 0.5 * float(w @ w) - float(alpha.sum()))
+    decisions = X @ w
+    neg_yg = -t * (t * decisions - 1.0)
+    up = ((t > 0) & (alpha < c - eps)) | ((t < 0) & (alpha > eps))
+    low = ((t < 0) & (alpha < c - eps)) | ((t > 0) & (alpha > eps))
+    if up.any() and low.any():
+        bias = (neg_yg[up].max() + neg_yg[low].min()) / 2.0
+    else:
+        bias = 0.0
+    return LinearModel(weights=w, bias=float(bias), kind="svm")
+
+
+def assert_same_svm_fit(X, y, params):
+    expected_calls, actual_calls = [], []
+    expected = reference_train_svm(X, y, params,
+                                   lambda e, v: expected_calls.append((e, v)))
+    actual = train_svm(X, y, params, lambda e, v: actual_calls.append((e, v)))
+    assert actual.weights.tobytes() == expected.weights.tobytes()
+    assert np.float64(actual.bias).tobytes() == np.float64(expected.bias).tobytes()
+    assert ([(e, np.float64(v).tobytes()) for e, v in actual_calls]
+            == [(e, np.float64(v).tobytes()) for e, v in expected_calls])
+    return len(actual_calls)
+
+
+def svm_oracle_cases(rng):
+    """(X, y, params) covering the shapes the experiment matrix produces."""
+    capped = LearnerParams(svm_max_epochs=30)
+    for n in range(2, 7):  # user-based folds
+        for _ in range(3):
+            X, y = random_instance(rng, n, 4, positive_rate=0.5)
+            yield X, y, capped
+    for scale in (500.0, 3000.0):  # raw exposure seconds, a full-size fold
+        X, y = random_instance(rng, 160, 14)
+        X[:, :12] = np.abs(X[:, :12]) * scale
+        yield X, y, capped
+        yield X, y, LearnerParams(svm_max_epochs=2)
+    X, y = random_instance(rng, 30, 5)
+    yield X, y, LearnerParams(svm_c=0.01)
+    X, y = random_instance(rng, 12, 3)
+    yield np.vstack([X, X, X[:5]]), np.concatenate([y, y, 1 - y[:5]]), capped
+
+
+def test_svm_matches_reference_solver_bit_for_bit():
+    rng = np.random.default_rng(61)
+    epochs = [assert_same_svm_fit(X, y, params)
+              for X, y, params in svm_oracle_cases(rng)]
+    assert max(epochs) >= 30  # some case ran into its epoch cap
+
+
+def test_svm_row_cache_budget_does_not_change_bits(monkeypatch):
+    # Room for two rows only: nearly every pair update evicts and recomputes.
+    monkeypatch.setattr(learners, "_SVM_ROW_CACHE_BYTES", 1)
+    rng = np.random.default_rng(67)
+    for scale in (1.0, 500.0):
+        X, y = random_instance(rng, 40, 5)
+        assert_same_svm_fit(X * scale, y, LearnerParams(svm_max_epochs=20))
 
 
 def test_svm_dual_objective_monotone_per_epoch():

@@ -1,9 +1,16 @@
+import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from adpredict.features import InputKind
-from adpredict.runner import (MatrixConfig, RESULTS_FILE, RunnerError, SPECS_FILE,
-                              StoreError, enumerate_experiments, load_score_records,
+from adpredict.runner import (MANIFEST_FILE, MatrixConfig, RESULTS_FILE, RunnerError,
+                              SPECS_FILE, StoreError, enumerate_experiments, load_score_records,
                               matrix_counts, run_matrix, spec_seed)
 from adpredict.learners import LearnerParams
 from adpredict.synthgen import GenConfig, generate_panel
@@ -178,6 +185,67 @@ def test_resume_after_torn_row_matches_uninterrupted(small_catalog, tmp_path):
     records, failures = load_score_records(part_dir)
     assert len(records) + len(failures) == len(
         enumerate_experiments(small_catalog, SMALL_MATRIX))
+
+
+def test_resume_rejects_edited_specs_index(small_catalog, tmp_path):
+    run_matrix(small_catalog, SMALL_MATRIX, tmp_path / "s", global_seed=4, limit=3)
+    specs_path = tmp_path / "s" / SPECS_FILE
+    lines = specs_path.read_text().splitlines(keepends=True)
+    lines[5] = lines[5].replace("\t3\t", "\t5\t", 1)  # k of one row
+    specs_path.write_text("".join(lines))
+    with pytest.raises(StoreError, match="enumeration"):
+        run_matrix(small_catalog, SMALL_MATRIX, tmp_path / "s", global_seed=4,
+                   resume=True)
+
+
+KILL_SYNTH = {"n_users": 12, "n_products": 3, "n_advert_matched": 2, "seed": 5,
+              "broadcasts_per_day": 3}
+KILL_MATRIX = {"models": ["logreg"], "configs": ["view_weekday", "demographics"],
+               "categories": [1, 4], "k": 3}
+
+
+def _run_killed_after(lines: int, store: Path, tmp_path: Path) -> None:
+    """Run the CLI on a small logreg matrix and SIGKILL it after ``lines``
+    progress lines, wherever it happens to be by then."""
+    config = tmp_path / f"run{lines}.json"
+    config.write_text(json.dumps({"synth": KILL_SYNTH, "out_dir": str(store),
+                                  "global_seed": 4, "matrix": KILL_MATRIX}))
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "adpredict.cli", "run", "--config", str(config),
+         "--progress"],
+        stdout=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    seen = 0
+    for line in proc.stdout:
+        seen += line.startswith("{")
+        if seen == lines:
+            os.kill(proc.pid, signal.SIGKILL)
+            break
+    proc.stdout.close()
+    assert proc.wait() == -signal.SIGKILL
+
+
+def test_sigkill_then_resume_matches_uninterrupted(tmp_path):
+    catalog = generate_panel(GenConfig(**KILL_SYNTH))
+    matrix = MatrixConfig.from_dict(KILL_MATRIX)
+    total = len(enumerate_experiments(catalog, matrix))
+    run_matrix(catalog, matrix, tmp_path / "full", global_seed=4)
+    # Kills land at most halfway, so the run cannot finish before its kill.
+    for lines in (1, total // 4, total // 2):
+        store = tmp_path / f"killed{lines}"
+        _run_killed_after(lines, store, tmp_path)
+        manifest = json.loads((store / MANIFEST_FILE).read_text())
+        assert manifest["spec_count"] == total and "executed" not in manifest
+        run_matrix(catalog, matrix, store, global_seed=4, resume=True)
+        for name in (RESULTS_FILE, SPECS_FILE):
+            assert (store / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+    # Killed after the manifest was written but before the log was created.
+    store = tmp_path / "no_log"
+    run_matrix(catalog, matrix, store, global_seed=4, limit=0)
+    (store / RESULTS_FILE).unlink()
+    run_matrix(catalog, matrix, store, global_seed=4, resume=True)
+    assert ((store / RESULTS_FILE).read_bytes()
+            == (tmp_path / "full" / RESULTS_FILE).read_bytes())
 
 
 def test_resume_rejects_changed_catalog(small_catalog, tmp_path):
