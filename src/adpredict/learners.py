@@ -257,23 +257,10 @@ def train_svm(X, y, params: LearnerParams = LearnerParams(),
         rows[k] = hit
         return hit
 
-    # w moves by step * (X[i] - X[j]) per update. The moves are buffered and
-    # folded in by a sequential accumulate, which rounds exactly like adding
-    # them one at a time.
     w = np.zeros(d)
-    moves: list[tuple[int, int, float]] = []
-
-    def fold_moves(w: np.ndarray) -> np.ndarray:
-        if moves:
-            first, second, steps = (list(col) for col in zip(*moves))
-            terms = np.array(steps)[:, None] * (X[first] - X[second])
-            w = np.add.accumulate(np.vstack([w, terms]))[-1]
-            moves.clear()
-        return w
 
     for update in range(params.svm_max_epochs * n):
         if epoch_callback is not None and update % n == 0:
-            w = fold_moves(w)
             epoch_callback(update // n, 0.5 * float(w @ w) - float(np.sum(alpha)))
         if not n_up or not n_low:
             break
@@ -308,9 +295,8 @@ def train_svm(X, y, params: LearnerParams = LearnerParams(),
             low_pen[k] = 0.0 if is_low else math.inf
         decisions += step * (k_i - kernel_row(j)[0])
         np.subtract(t, decisions, out=neg_yg)
-        moves.append((i, j, step))
+        w += step * (X[i] - X[j])
 
-    w = fold_moves(w)
     alpha = np.array(alpha)
     if epoch_callback is not None:
         epoch_callback(-1, 0.5 * float(w @ w) - float(alpha.sum()))

@@ -160,8 +160,11 @@ def assert_same_svm_fit(X, y, params):
     expected = reference_train_svm(X, y, params,
                                    lambda e, v: expected_calls.append((e, v)))
     actual = train_svm(X, y, params, lambda e, v: actual_calls.append((e, v)))
-    assert actual.weights.tobytes() == expected.weights.tobytes()
-    assert np.float64(actual.bias).tobytes() == np.float64(expected.bias).tobytes()
+    # The runner fits without a callback; that path must give the same bits.
+    for model in (actual, train_svm(X, y, params)):
+        assert model.weights.tobytes() == expected.weights.tobytes()
+        assert (np.float64(model.bias).tobytes()
+                == np.float64(expected.bias).tobytes())
     assert ([(e, np.float64(v).tobytes()) for e, v in actual_calls]
             == [(e, np.float64(v).tobytes()) for e, v in expected_calls])
     return len(actual_calls)
