@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from . import stats
@@ -169,6 +170,9 @@ def cmd_run(args) -> int:
         return _fail(EXIT_VALIDATION, str(exc))
     except OSError as exc:
         return _fail(EXIT_EXECUTION, f"result store failure: {exc}")
+    except BrokenExecutor as exc:
+        return _fail(EXIT_EXECUTION, f"a worker process died ({exc}); committed "
+                     f"results are kept, rerun with --resume to finish the store")
     print(f"executed: {manifest['executed']} of {manifest['spec_count']} specs "
           f"in {manifest['wall_seconds']}s")
     return EXIT_OK

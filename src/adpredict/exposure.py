@@ -3,108 +3,107 @@
 A viewing record and a broadcast match when they share a channel and their
 intervals overlap. The overlap length in whole seconds is credited to the
 weekday (Monday = 0) and time slot of the overlap start, so an advert that
-straddles the 23:00 boundary lands in a single cell. The primetime slot is
+straddles 23:00 or midnight lands in a single cell. The primetime slot is
 the half-open window [19:00, 23:00).
+
+The join yields one dense int64 tensor ``seconds[user, product, weekday,
+slot]`` whose slot axis follows ``SLOT_NAMES`` (primetime first). Times are
+whole seconds since 0001-01-01 00:00, a Monday, so weekday and slot are
+integer arithmetic; a sub-second part is ignored (panel files have minute
+resolution).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from datetime import datetime, time, timedelta
-from enum import Enum
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .data_model import AdBroadcast, ViewingRecord
 
+SLOT_NAMES = ("primetime", "non_primetime")
 
-class TimeSlot(Enum):
-    PRIMETIME = "primetime"
-    NON_PRIMETIME = "non_primetime"
-
-
-_PRIMETIME_START = time(19, 0)
-_PRIMETIME_END = time(23, 0)
-
-Cell = tuple[str, str, int, TimeSlot]
+_DAY = 86400
+_PRIMETIME_START, _PRIMETIME_END = 19 * 3600, 23 * 3600
 
 
-def slot_of(moment: datetime | time) -> TimeSlot:
-    """Time slot of a clock time: primetime iff 19:00:00 <= t < 23:00:00."""
-    clock = moment.time() if isinstance(moment, datetime) else moment
-    if _PRIMETIME_START <= clock < _PRIMETIME_END:
-        return TimeSlot.PRIMETIME
-    return TimeSlot.NON_PRIMETIME
-
-
-@dataclass
+@dataclass(frozen=True)
 class ExposureMatrix:
-    """Sparse map of accumulated seconds; an absent cell means zero."""
+    """Seconds per (user, product, weekday, slot) on sorted id axes: the
+    users with viewing rows and the products with broadcasts."""
 
-    cells: dict[Cell, int] = field(default_factory=dict)
+    user_ids: tuple[str, ...]
+    product_ids: tuple[str, ...]
+    seconds: np.ndarray
 
-    def add(self, user_id: str, product_id: str, weekday: int, slot: TimeSlot,
-            seconds: int) -> None:
-        if seconds < 0:
-            raise ValueError("exposure seconds must be non-negative")
-        if seconds == 0:
-            return
-        key = (user_id, product_id, weekday, slot)
-        self.cells[key] = self.cells.get(key, 0) + seconds
+    @property
+    def cells(self) -> dict[tuple[str, str, int, str], int]:
+        """Non-zero cells as ``{(user, product, weekday, slot_name): seconds}``
+        in audit order, which sorts "non_primetime" first: hence the flip."""
+        flipped, names = self.seconds[..., ::-1], SLOT_NAMES[::-1]
+        index = np.nonzero(flipped)
+        return {(self.user_ids[u], self.product_ids[p], w, names[s]): n
+                for u, p, w, s, n in zip(*(i.tolist() for i in index),
+                                         flipped[index].tolist())}
 
-    def total_seconds(self) -> int:
-        return sum(self.cells.values())
 
-    def rows(self):
-        """Cells as (user, product, weekday, slot, seconds), sorted for audit dumps."""
-        for key in sorted(self.cells, key=lambda c: (c[0], c[1], c[2], c[3].value)):
-            yield (*key, self.cells[key])
+def _intervals(records) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends in whole seconds since 0001-01-01 00:00."""
+    starts = np.fromiter(((r.start.toordinal() - 1) * _DAY + r.start.hour * 3600
+                          + r.start.minute * 60 + r.start.second for r in records),
+                         dtype=np.int64, count=len(records))
+    return starts, starts + np.array([r.duration_s for r in records], dtype=np.int64)
 
 
 def compute_exposure(viewing: list[ViewingRecord],
                      broadcasts: list[AdBroadcast]) -> ExposureMatrix:
     """Join viewing records with broadcasts into an ExposureMatrix.
 
-    Pure function of its inputs; empty inputs yield an empty matrix. Per
+    Pure function of its inputs; empty inputs yield an all-zero matrix. Per
     matched pair the credited seconds never exceed the broadcast duration.
     """
-    matrix = ExposureMatrix()
-    if not viewing or not broadcasts:
-        return matrix
+    user_ids = tuple(sorted({v.user_id for v in viewing}))
+    product_ids = tuple(sorted({b.product_id for b in broadcasts}))
+    user_index = {u: i for i, u in enumerate(user_ids)}
+    product_index = {p: j for j, p in enumerate(product_ids)}
+    seconds = np.zeros((len(user_ids), len(product_ids), 7, len(SLOT_NAMES)),
+                       dtype=np.int64)
 
-    by_channel: dict[str, list[AdBroadcast]] = {}
-    for b in broadcasts:
-        by_channel.setdefault(b.channel, []).append(b)
-    channel_index: dict[str, tuple[list[datetime], list[AdBroadcast], int]] = {}
-    for channel, items in by_channel.items():
-        items.sort(key=lambda b: (b.start, b.product_id))
-        starts = [b.start for b in items]
-        max_duration = max(b.duration_s for b in items)
-        channel_index[channel] = (starts, items, max_duration)
-
+    by_channel: dict[str, tuple[list, list]] = {}
     for v in viewing:
-        if v.duration_s == 0 or v.channel not in channel_index:
+        by_channel.setdefault(v.channel, ([], []))[0].append(v)
+    for b in broadcasts:
+        by_channel.setdefault(b.channel, ([], []))[1].append(b)
+    for views, items in by_channel.values():
+        if not views or not items:
             continue
-        starts, items, max_duration = channel_index[v.channel]
-        v_end = v.end
-        # Broadcasts starting before v.start - max_duration cannot reach into v.
-        lo = bisect_left(starts, v.start - timedelta(seconds=max_duration))
-        hi = bisect_right(starts, v_end)
-        for b in items[lo:hi]:
-            overlap_start = max(v.start, b.start)
-            overlap_end = min(v_end, b.end)
-            seconds = int((overlap_end - overlap_start).total_seconds())
-            if seconds <= 0:
-                continue
-            matrix.add(v.user_id, b.product_id, overlap_start.weekday(),
-                       slot_of(overlap_start), seconds)
-    return matrix
+        items.sort(key=lambda b: b.start)
+        v_start, v_end = _intervals(views)
+        b_start, b_end = _intervals(items)
+        # Broadcasts starting before v.start - max duration cannot reach into
+        # v; the candidates of view i are broadcasts lo[i] .. lo[i]+counts[i]-1.
+        lo = np.searchsorted(b_start, v_start - (b_end - b_start).max())
+        counts = np.searchsorted(b_start, v_end, side="right") - lo
+        pair_v = np.repeat(np.arange(len(views)), counts)
+        pair_b = np.arange(counts.sum()) + np.repeat(lo + counts - np.cumsum(counts),
+                                                     counts)
+        start = np.maximum(v_start[pair_v], b_start[pair_b])
+        overlap = np.minimum(v_end[pair_v], b_end[pair_b]) - start
+        hit = overlap > 0
+        start, clock = start[hit], start[hit] % _DAY
+        non_primetime = (clock < _PRIMETIME_START) | (clock >= _PRIMETIME_END)
+        users = np.array([user_index[v.user_id] for v in views])[pair_v[hit]]
+        products = np.array([product_index[b.product_id] for b in items])[pair_b[hit]]
+        np.add.at(seconds, (users, products, start // _DAY % 7,
+                            non_primetime.astype(np.intp)), overlap[hit])
+    return ExposureMatrix(user_ids, product_ids, seconds)
 
 
 def write_exposure_table(matrix: ExposureMatrix, path: str | Path) -> None:
-    """Dump the matrix as a tab-separated audit table."""
+    """Dump the non-zero cells as a tab-separated audit table."""
     path = Path(path)
     lines = ["user_id\tproduct_id\tweekday\tslot\tseconds"]
-    for user_id, product_id, weekday, slot, seconds in matrix.rows():
-        lines.append(f"{user_id}\t{product_id}\t{weekday}\t{slot.value}\t{seconds}")
+    for (user_id, product_id, weekday, slot), seconds in matrix.cells.items():
+        lines.append(f"{user_id}\t{product_id}\t{weekday}\t{slot}\t{seconds}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .data_model import (AGE_BRACKETS, INCOME_BRACKETS, MARITAL_STATUSES,
                          PARENTAL_STATUSES, SEXES, Catalog, DemographicProfile)
-from .exposure import ExposureMatrix, TimeSlot
+from .exposure import SLOT_NAMES, ExposureMatrix
 from .targets import Behavior
 
 WEEKDAY_NAMES = ("monday", "tuesday", "wednesday", "thursday", "friday",
@@ -139,11 +139,7 @@ def encode_demographics(profile: DemographicProfile) -> np.ndarray:
 
 def exposure_feature_names(uses_slots: bool) -> list[str]:
     if uses_slots:
-        names = []
-        for day in WEEKDAY_NAMES:
-            names.append(f"{day}_primetime")
-            names.append(f"{day}_non_primetime")
-        return names
+        return [f"{day}_{slot}" for day in WEEKDAY_NAMES for slot in SLOT_NAMES]
     return list(WEEKDAY_NAMES)
 
 
@@ -155,8 +151,8 @@ class Panel:
     ``product_ids``, both sorted, so the rows of any model base come out in
     (user_id, product_id) order.
 
-    ``E[user, product, weekday, slot]`` holds exposure seconds (slot 0 is
-    primetime), ``D[user]`` the one-hot demographics and
+    ``E[user, product, weekday, slot]`` holds exposure seconds (slots in
+    ``exposure.SLOT_NAMES`` order), ``D[user]`` the one-hot demographics and
     ``S[user, product]`` the survey answers pi_jan, pi_mar, ap_jan, ap_mar.
     """
 
@@ -170,19 +166,17 @@ class Panel:
     def build(cls, catalog: Catalog, exposure: ExposureMatrix) -> "Panel":
         user_ids = catalog.user_ids
         product_ids = catalog.advert_matched_products
-        n_users, n_products = len(user_ids), len(product_ids)
+        n_users = len(user_ids)
         user_index = {u: i for i, u in enumerate(user_ids)}
-        product_index = {p: j for j, p in enumerate(product_ids)}
+        viewers = [user_index.get(u) for u in exposure.user_ids]
+        if exposure.product_ids != product_ids or None in viewers:
+            raise FeatureError("exposure axes do not fit the catalog's users "
+                               "and advert-matched products")
 
-        # One pass over the cells through flat indices: no per-cell tuples
-        # are kept and no per-cell array indexing is paid.
-        cells = exposure.cells
-        E = np.zeros((n_users, n_products, 7, 2), dtype=np.float64)
-        np.put(E, np.fromiter(
-            (((user_index[u] * n_products + product_index[p]) * 7 + w) * 2
-             + (s is TimeSlot.NON_PRIMETIME) for u, p, w, s in cells),
-            dtype=np.intp, count=len(cells)),
-            np.fromiter(cells.values(), dtype=np.float64, count=len(cells)))
+        # Users without viewing rows keep zero rows; int seconds are exact
+        # in float64.
+        E = np.zeros((n_users, *exposure.seconds.shape[1:]), dtype=np.float64)
+        E[np.array(viewers, dtype=np.intp)] = exposure.seconds
 
         D = np.array([encode_demographics(u) for u in catalog.users],
                      dtype=np.float64).reshape(n_users, DEMOGRAPHIC_DIMS)

@@ -42,7 +42,7 @@ import numpy as np
 from .data_model import (AGE_BRACKETS, INCOME_BRACKETS, MARITAL_STATUSES,
                          PARENTAL_STATUSES, SEXES, AdBroadcast, Catalog,
                          DemographicProfile, SurveyResponse, ViewingRecord)
-from .exposure import ExposureMatrix, compute_exposure
+from .exposure import compute_exposure
 from .features import DEMOGRAPHIC_DIMS, encode_demographics
 from .learners import sigmoid
 from .targets import Behavior
@@ -244,30 +244,35 @@ def _structure(config: GenConfig, rng: np.random.Generator):
     return user_ids, product_ids, matched, users, broadcasts, viewing
 
 
-def _row_scores(config: GenConfig, users, user_ids, product_ids,
-                exposure: ExposureMatrix) -> tuple[list[tuple[str, str]], np.ndarray]:
+def _scored_structure(config: GenConfig):
+    """Draw steps 1-4 for the configured seed and score every row.
+
+    Returns the generator (positioned for step 5), the drawn users, products,
+    broadcasts and viewing, the sorted (user, product) rows, their logistic
+    scores without intercept and the mask of advert-matched rows.
+    """
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    user_ids, product_ids, matched, users, broadcasts, viewing = _structure(config, rng)
+    exposure = compute_exposure(viewing, broadcasts)
+    user_ids, sorted_products = sorted(user_ids), sorted(product_ids)
+    pair_seconds = np.zeros((len(user_ids), len(sorted_products)), dtype=np.int64)
+    pair_seconds[np.ix_(np.searchsorted(user_ids, exposure.user_ids),
+                        np.searchsorted(sorted_products, exposure.product_ids))] = \
+        exposure.seconds.sum(axis=(2, 3))
     profiles = {u.user_id: u for u in users}
-    demo_effect = {uid: float(config.beta_demo @ encode_demographics(profiles[uid]))
-                   for uid in user_ids}
-    pair_seconds: dict[tuple[str, str], int] = {}
-    for (u, p, _, _), seconds in exposure.cells.items():
-        pair_seconds[(u, p)] = pair_seconds.get((u, p), 0) + seconds
-    rows = [(u, p) for u in sorted(user_ids) for p in sorted(product_ids)]
-    scores = np.array([
-        demo_effect[u] + config.beta_exposure * pair_seconds.get((u, p), 0) / 100.0
-        for u, p in rows
-    ])
-    return rows, scores
+    demo_effect = np.array([float(config.beta_demo @ encode_demographics(profiles[uid]))
+                            for uid in user_ids])
+    scores = demo_effect[:, None] + config.beta_exposure * pair_seconds / 100.0
+    rows = [(u, p) for u in user_ids for p in sorted_products]
+    matched_mask = np.tile(np.isin(sorted_products, matched), len(user_ids))
+    return (rng, (users, product_ids, broadcasts, viewing), rows, scores.ravel(),
+            matched_mask)
 
 
 def generate_panel(config: GenConfig) -> Catalog:
     """Generate a complete catalog; deterministic for a given seed."""
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    user_ids, product_ids, matched, users, broadcasts, viewing = _structure(config, rng)
-    exposure = compute_exposure(viewing, broadcasts)
-    rows, scores = _row_scores(config, users, user_ids, product_ids, exposure)
-    matched_set = set(matched)
-    matched_mask = np.array([p in matched_set for _, p in rows])
+    rng, (users, product_ids, broadcasts, viewing), rows, scores, matched_mask = \
+        _scored_structure(config)
 
     answers: dict[Behavior, tuple[np.ndarray, np.ndarray]] = {}
     for behavior in (Behavior.ACTUAL_PURCHASE, Behavior.PURCHASE_INTENTION):
@@ -309,12 +314,7 @@ def calibrate_intercept(config: GenConfig, target_rate: float | None = None,
     intercept over the advert-matched rows. The default target is the
     behavior's configured wave-1 positive rate.
     """
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    user_ids, product_ids, matched, users, broadcasts, viewing = _structure(config, rng)
-    exposure = compute_exposure(viewing, broadcasts)
-    rows, scores = _row_scores(config, users, user_ids, product_ids, exposure)
-    matched_set = set(matched)
-    matched_mask = np.array([p in matched_set for _, p in rows])
+    _, _, _, scores, matched_mask = _scored_structure(config)
     if target_rate is None:
         f0, _, _, f3 = _normalized_rates(config.base_rates[behavior])
         target_rate = f0 + f3

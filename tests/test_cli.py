@@ -6,6 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from adpredict import runner
+from adpredict.cli import main
+from adpredict.features import BaseKind, InputConfig, InputKind, ModelBase
+from adpredict.targets import Behavior
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -226,6 +231,42 @@ def test_run_store_io_failure_exits_execution(panel_dir, tmp_path):
     result = run_cli("run", "--config", str(config_path))
     assert result.returncode == 4
     assert "result store failure" in result.stderr
+
+
+DOOMED_SPEC = runner.ExperimentSpec(
+    "logreg", ModelBase(BaseKind.USER_BASED, "u0002"),
+    InputConfig(InputKind.VIEW_WEEKDAY_SLOT), Behavior.ACTUAL_PURCHASE, 1, 3).spec_id
+_execute_spec = runner._execute_spec
+
+
+def _die_on_doomed_spec(spec):
+    """Worker body that ends its process abruptly, as the OOM killer would."""
+    if spec.spec_id == DOOMED_SPEC:
+        os._exit(1)
+    return _execute_spec(spec)
+
+
+def test_run_dead_worker_exits_execution_then_resumes(panel_dir, tmp_path,
+                                                      monkeypatch, capsys):
+    base = {"data_dir": str(panel_dir), "global_seed": 8, "workers": 2,
+            "matrix": dict(MATRIX, categories=[1])}
+    stores = {}
+    for name in ("full", "part"):
+        stores[name] = tmp_path / name
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps(dict(base, out_dir=str(stores[name]))))
+    assert main(["run", "--config", str(tmp_path / "full.json")]) == 0
+
+    # run_matrix ships the patched function to the pool by name; forked
+    # workers already hold this test module.
+    monkeypatch.setattr(runner, "_execute_spec", _die_on_doomed_spec)
+    assert main(["run", "--config", str(tmp_path / "part.json")]) == 4
+    assert "--resume" in capsys.readouterr().err
+    monkeypatch.undo()
+
+    assert main(["run", "--config", str(tmp_path / "part.json"), "--resume"]) == 0
+    for name in ("results.tsv", "specs.tsv"):
+        assert (stores["part"] / name).read_bytes() == (stores["full"] / name).read_bytes()
 
 
 def test_run_requires_exactly_one_source(tmp_path):

@@ -1,20 +1,18 @@
 from datetime import datetime, time, timedelta
 
 import numpy as np
-import pytest
 
 from adpredict.data_model import AdBroadcast, ViewingRecord
-from adpredict.exposure import (ExposureMatrix, TimeSlot, compute_exposure,
-                                slot_of, write_exposure_table)
+from adpredict.exposure import ExposureMatrix, compute_exposure, write_exposure_table
 from adpredict.features import (BaseKind, InputConfig, InputKind, ModelBase, Panel,
                                 build_matrix)
 from adpredict.targets import Behavior
 
 
-def brute_force_exposure(viewing, broadcasts) -> ExposureMatrix:
+def brute_force_exposure(viewing, broadcasts) -> dict:
     """Per-second membership count; credited to the slot of the first
     overlapping second of each (viewing, broadcast) pair."""
-    matrix = ExposureMatrix()
+    cells = {}
     for v in viewing:
         for b in broadcasts:
             if v.channel != b.channel:
@@ -29,17 +27,41 @@ def brute_force_exposure(viewing, broadcasts) -> ExposureMatrix:
                         first = moment
                 moment += timedelta(seconds=1)
             if seconds:
-                matrix.add(v.user_id, b.product_id, first.weekday(),
-                           slot_of(first), seconds)
-    return matrix
+                slot = ("primetime" if time(19) <= first.time() < time(23)
+                        else "non_primetime")
+                key = (v.user_id, b.product_id, first.weekday(), slot)
+                cells[key] = cells.get(key, 0) + seconds
+    return cells
 
 
-def test_slot_boundaries():
-    assert slot_of(time(19, 0, 0)) is TimeSlot.PRIMETIME
-    assert slot_of(time(22, 59, 59)) is TimeSlot.PRIMETIME
-    assert slot_of(time(23, 0, 0)) is TimeSlot.NON_PRIMETIME
-    assert slot_of(time(3, 15, 0)) is TimeSlot.NON_PRIMETIME
-    assert slot_of(datetime(2017, 1, 23, 20, 30)) is TimeSlot.PRIMETIME
+def test_weekday_and_slot_boundaries():
+    # 2017-01-23 is a Monday; each weekday has its own user, watching all day.
+    monday = datetime(2017, 1, 23)
+    clocks = {time(18, 59): "non_primetime", time(19, 0): "primetime",
+              time(22, 59): "primetime", time(22, 59, 59): "primetime",
+              time(23, 0): "non_primetime"}
+    viewing, broadcasts, expected = [], [], {}
+    for day in range(7):
+        date = monday.date() + timedelta(days=day)
+        user = f"u{day}"
+        viewing.append(ViewingRecord(user, datetime.combine(date, time()), 86400, "ch1"))
+        for duration, (clock, slot) in enumerate(clocks.items(), start=10):
+            broadcasts.append(AdBroadcast("p1", datetime.combine(date, clock),
+                                          duration, "ch1"))
+            key = (user, "p1", day, slot)
+            expected[key] = expected.get(key, 0) + duration
+    matrix = compute_exposure(viewing, broadcasts)
+    assert matrix.cells == expected
+    assert matrix.seconds.sum() == 7 * (10 + 11 + 12 + 13 + 14)
+
+
+def test_overlap_across_midnight_credits_its_start():
+    # Sunday 2017-01-29 23:59 into Monday: all 90 s go to Sunday, non-primetime.
+    viewing = [ViewingRecord("u1", datetime(2017, 1, 29, 23, 0), 7200, "ch1")]
+    broadcasts = [AdBroadcast("p1", datetime(2017, 1, 29, 23, 59), 90, "ch1")]
+    matrix = compute_exposure(viewing, broadcasts)
+    assert matrix.cells == {("u1", "p1", 6, "non_primetime"): 90}
+    assert matrix.seconds[0, 0, 6, 1] == 90
 
 
 def test_full_containment_monday_primetime():
@@ -47,8 +69,8 @@ def test_full_containment_monday_primetime():
     broadcasts = [AdBroadcast("p1", datetime(2017, 1, 23, 20, 30), 15, "ch1")]
     matrix = compute_exposure(viewing, broadcasts)
     # 2017-01-23 is a Monday.
-    assert matrix.cells == {("u1", "p1", 0, TimeSlot.PRIMETIME): 15}
-    assert matrix.total_seconds() == 15
+    assert matrix.cells == {("u1", "p1", 0, "primetime"): 15}
+    assert matrix.seconds.sum() == 15
 
 
 def test_attribution_follows_overlap_start():
@@ -56,13 +78,13 @@ def test_attribution_follows_overlap_start():
     viewing = [ViewingRecord("u1", datetime(2017, 1, 23, 18, 50), 1200, "ch1")]
     broadcasts = [AdBroadcast("p1", datetime(2017, 1, 23, 18, 58), 240, "ch1")]
     matrix = compute_exposure(viewing, broadcasts)
-    assert matrix.cells == {("u1", "p1", 0, TimeSlot.NON_PRIMETIME): 240}
+    assert matrix.cells == {("u1", "p1", 0, "non_primetime"): 240}
 
 
 def test_channel_mismatch_gives_nothing():
     viewing = [ViewingRecord("u1", datetime(2017, 1, 23, 20, 0), 3600, "ch1")]
     broadcasts = [AdBroadcast("p1", datetime(2017, 1, 23, 20, 30), 15, "ch2")]
-    assert compute_exposure(viewing, broadcasts).total_seconds() == 0
+    assert compute_exposure(viewing, broadcasts).seconds.sum() == 0
 
 
 def test_empty_inputs():
@@ -96,7 +118,7 @@ def test_matches_per_second_oracle():
         viewing, broadcasts = _random_schedule(rng)
         fast = compute_exposure(viewing, broadcasts)
         slow = brute_force_exposure(viewing, broadcasts)
-        assert fast.cells == slow.cells
+        assert fast.cells == slow
 
 
 def test_additive_over_viewing_partition():
@@ -115,15 +137,13 @@ def test_total_bounded_by_broadcast_mass():
     users = {v.user_id for v in viewing}
     matrix = compute_exposure(viewing, broadcasts)
     bound = sum(b.duration_s for b in broadcasts) * len(users)
-    assert matrix.total_seconds() <= bound
+    assert matrix.seconds.sum() <= bound
 
 
 def test_weekday_total_sums_slots(tiny_catalog):
-    matrix = ExposureMatrix()
-    matrix.add("u002", "p01", 2, TimeSlot.PRIMETIME, 30)
-    matrix.add("u002", "p01", 2, TimeSlot.NON_PRIMETIME, 12)
-    matrix.add("u002", "p01", 2, TimeSlot.NON_PRIMETIME, 5)
-    panel = Panel.build(tiny_catalog, matrix)
+    seconds = np.zeros((2, 1, 7, 2), dtype=np.int64)
+    seconds[1, 0, 2] = [30, 12 + 5]
+    panel = Panel.build(tiny_catalog, ExposureMatrix(("u001", "u002"), ("p01",), seconds))
     assert panel.E[1, 0, 2].tolist() == [30.0, 17.0]
     fm = build_matrix(panel, ModelBase(BaseKind.PRODUCT_BASED, "p01"),
                       InputConfig(InputKind.VIEW_WEEKDAY), Behavior.ACTUAL_PURCHASE)
@@ -131,15 +151,10 @@ def test_weekday_total_sums_slots(tiny_catalog):
 
 
 def test_audit_dump(tmp_path):
-    matrix = ExposureMatrix()
-    matrix.add("u1", "p1", 0, TimeSlot.PRIMETIME, 15)
+    seconds = np.zeros((1, 1, 7, 2), dtype=np.int64)
+    seconds[0, 0, 0, 0] = 15
     path = tmp_path / "exposure.tsv"
-    write_exposure_table(matrix, path)
+    write_exposure_table(ExposureMatrix(("u1",), ("p1",), seconds), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "user_id\tproduct_id\tweekday\tslot\tseconds"
     assert lines[1] == "u1\tp1\t0\tprimetime\t15"
-
-
-def test_negative_seconds_rejected():
-    with pytest.raises(ValueError):
-        ExposureMatrix().add("u", "p", 0, TimeSlot.PRIMETIME, -1)

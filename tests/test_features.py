@@ -3,7 +3,7 @@ import pytest
 
 from adpredict.data_model import (AGE_BRACKETS, INCOME_BRACKETS, MARITAL_STATUSES,
                                   PARENTAL_STATUSES, SEXES, DemographicProfile)
-from adpredict.exposure import ExposureMatrix, TimeSlot, compute_exposure
+from adpredict.exposure import ExposureMatrix, compute_exposure
 from adpredict.features import (BaseKind, FeatureError, InputConfig, InputKind,
                                 ModelBase, Panel, build_matrix, encode_demographics,
                                 DEMOGRAPHIC_DIMS)
@@ -61,7 +61,7 @@ def _oracle_row(catalog, exposure, user_id, product_id, config):
     if config.kind.has_viewing:
         for weekday in range(7):
             slots = [exposure.cells.get((user_id, product_id, weekday, slot), 0)
-                     for slot in (TimeSlot.PRIMETIME, TimeSlot.NON_PRIMETIME)]
+                     for slot in ("primetime", "non_primetime")]
             row += slots if config.kind.uses_slots else [sum(slots)]
     if config.kind.has_demographics:
         profile = next(u for u in catalog.users if u.user_id == user_id)
@@ -143,13 +143,24 @@ def test_pi_feature_value_is_january_wave(tiny_catalog):
 
 
 def test_unknown_base_rejected(tiny_catalog):
-    panel = _panel(tiny_catalog, ExposureMatrix())
+    panel = _panel(tiny_catalog)
     with pytest.raises(FeatureError, match="unmatched product"):
         build_matrix(panel, ModelBase(BaseKind.PRODUCT_BASED, "p02"),
                      InputConfig(InputKind.VIEW_WEEKDAY), Behavior.ACTUAL_PURCHASE)
     with pytest.raises(FeatureError, match="unknown user"):
         build_matrix(panel, ModelBase(BaseKind.USER_BASED, "u999"),
                      InputConfig(InputKind.VIEW_WEEKDAY), Behavior.ACTUAL_PURCHASE)
+
+
+def test_exposure_axes_must_fit_catalog(tiny_catalog):
+    # A user outside the catalog, a product axis that is not the catalog's
+    # advert-matched products, and one with an unmatched product too many.
+    for users, products in ((("u001", "u999"), ("p01",)),
+                            (("u001", "u002"), ("p02",)),
+                            (("u001", "u002"), ("p01", "p02"))):
+        seconds = np.zeros((len(users), len(products), 7, 2), dtype=np.int64)
+        with pytest.raises(FeatureError, match="exposure axes"):
+            Panel.build(tiny_catalog, ExposureMatrix(users, products, seconds))
 
 
 def test_product_base_exposure_rows(tiny_catalog):
@@ -202,7 +213,6 @@ def test_weekday_matrix_is_slot_marginalization():
 
 
 def test_rows_sorted_by_user_product(tiny_catalog):
-    fm = build_matrix(_panel(tiny_catalog, ExposureMatrix()),
-                      ModelBase(BaseKind.PRODUCT_BASED, "p01"),
+    fm = build_matrix(_panel(tiny_catalog), ModelBase(BaseKind.PRODUCT_BASED, "p01"),
                       InputConfig(InputKind.DEMOGRAPHICS), Behavior.ACTUAL_PURCHASE)
     assert fm.row_keys == sorted(fm.row_keys)

@@ -5,7 +5,7 @@ import pytest
 
 from adpredict.data_model import serialize_tables
 from adpredict.evaluation import cross_validate
-from adpredict.exposure import TimeSlot, compute_exposure
+from adpredict.exposure import compute_exposure
 from adpredict.features import (BaseKind, DEMOGRAPHIC_DIMS, InputConfig, InputKind,
                                 ModelBase, Panel, build_matrix)
 from adpredict.learners import LearnerParams, sigmoid
@@ -103,11 +103,11 @@ def test_exposure_mass_is_primetime_heavy():
     catalog = generate_panel(GenConfig(n_users=150, n_products=4,
                                        n_advert_matched=4, seed=17))
     matrix = compute_exposure(list(catalog.viewing), list(catalog.broadcasts))
-    by_slot = {TimeSlot.PRIMETIME: 0, TimeSlot.NON_PRIMETIME: 0}
+    by_slot = {"primetime": 0, "non_primetime": 0}
     for (_, _, _, slot), seconds in matrix.cells.items():
         by_slot[slot] += seconds
     # Primetime is 4 of 24 hours yet draws the (heavier) share of exposure.
-    assert by_slot[TimeSlot.PRIMETIME] > by_slot[TimeSlot.NON_PRIMETIME]
+    assert by_slot["primetime"] > by_slot["non_primetime"]
 
 
 def test_planted_exposure_effect_is_detectable():

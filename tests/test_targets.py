@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adpredict.data_model import SurveyResponse
-from adpredict.exposure import ExposureMatrix
+from adpredict.exposure import compute_exposure
 from adpredict.features import BaseKind, ModelBase, Panel
 from adpredict.synthgen import GenConfig, generate_panel
 from adpredict.targets import (Behavior, CATEGORIES, categorize,
@@ -62,7 +62,7 @@ def test_label_vector_category5_marks_march_no():
 def test_label_vector_uses_requested_behavior(tiny_catalog):
     # Rows of product p01: u001 answers pi (yes, no), ap (yes, no);
     # u002 answers pi (no, yes), ap (yes, yes).
-    panel = Panel.build(tiny_catalog, ExposureMatrix())
+    panel = Panel.build(tiny_catalog, compute_exposure([], list(tiny_catalog.broadcasts)))
     base = ModelBase(BaseKind.PRODUCT_BASED, "p01")
     pi = panel.waves(base, Behavior.PURCHASE_INTENTION)
     ap = panel.waves(base, Behavior.ACTUAL_PURCHASE)
