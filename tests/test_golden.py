@@ -10,7 +10,7 @@ moves them changes the result contract and must say so in CHANGES.md.
 import hashlib
 
 from adpredict.cli import main
-from adpredict.data_model import write_catalog
+from adpredict.data_model import TABLE_FILENAMES, write_catalog
 from adpredict.learners import LearnerParams
 from adpredict.runner import RESULTS_FILE, SPECS_FILE, MatrixConfig, run_matrix
 from adpredict.synthgen import GenConfig, generate_panel
@@ -20,6 +20,8 @@ GOLDEN_PANEL = GenConfig(n_users=30, n_products=5, n_advert_matched=4, seed=8,
 
 STORE_DIGEST = "811ebe4b7345c7b86a3f41befd4236e90dbf4933a12854b97203c228bc4c4b4d"
 EXPOSURE_DIGEST = "9728586f0a1bf4276d1dd41c635ff3f1e193a27bd6bd7be92a223fe8cdc6d178"
+# The five table files of GOLDEN_PANEL, in TABLE_FILENAMES order.
+PANEL_FILES_DIGEST = "c073d0c9c21f64d7c3440859c2f900157d2605bfcbbc1a31b4032f07e3878d4c"
 
 
 def _sha256(*paths) -> str:
@@ -54,3 +56,9 @@ def test_golden_exposure_dump(tmp_path):
     assert main(["ingest", "--data-dir", str(tmp_path / "panel"),
                  "--dump-exposure", str(dump)]) == 0
     assert _sha256(dump) == EXPOSURE_DIGEST
+
+
+def test_golden_panel_files(tmp_path):
+    write_catalog(generate_panel(GOLDEN_PANEL), tmp_path)
+    assert _sha256(*(tmp_path / name for name in TABLE_FILENAMES.values())) \
+        == PANEL_FILES_DIGEST
