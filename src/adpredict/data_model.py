@@ -3,8 +3,9 @@
 A panel is five tab-separated tables: ``users``, ``products``, ``survey``,
 ``viewing`` and ``broadcasts``. Each file carries a header row, is UTF-8
 encoded, and uses ISO-8601 local timestamps at minute resolution
-(``YYYY-MM-DDTHH:MM``). ``write_catalog`` emits rows sorted by primary key,
-so writing the same catalog twice produces byte-identical files and
+(``YYYY-MM-DDTHH:MM``: zero-padded ASCII digits, years 0001-9999).
+``write_catalog`` emits rows sorted by primary key, so writing the same
+catalog twice produces byte-identical files and
 ``parse_catalog(write_catalog(c)) == c`` for every valid catalog.
 """
 
@@ -12,9 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 AGE_BRACKETS = (
     "18 to 25 years old",
@@ -45,8 +50,6 @@ INCOME_BRACKETS = (
     "From 15,000,000 yen to 20,000,000 yen",
     "Over 20,000,000 yen",
 )
-
-TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M"
 
 TABLE_FILENAMES = {
     "users": "users.tsv",
@@ -100,8 +103,7 @@ class DemographicProfile:
                 raise CatalogError(f"invalid {name} for {self.user_id!r}: {value!r}")
 
 
-@dataclass(frozen=True)
-class SurveyResponse:
+class SurveyResponse(NamedTuple):
     """Wave-1 (January) and wave-2 (March) answers for one (user, product)."""
 
     user_id: str
@@ -112,32 +114,26 @@ class SurveyResponse:
     ap_mar: bool
 
 
-@dataclass(frozen=True)
-class ViewingRecord:
+class ViewingRecord(NamedTuple):
+    """One at-home viewing session; ``Catalog`` rejects a negative duration."""
+
     user_id: str
     start: datetime
     duration_s: int
     channel: str
-
-    def __post_init__(self):
-        if self.duration_s < 0:
-            raise CatalogError(f"negative viewing duration for {self.user_id!r}")
 
     @property
     def end(self) -> datetime:
         return self.start + timedelta(seconds=self.duration_s)
 
 
-@dataclass(frozen=True)
-class AdBroadcast:
+class AdBroadcast(NamedTuple):
+    """One airing of an advert; ``Catalog`` rejects a non-positive duration."""
+
     product_id: str
     start: datetime
     duration_s: int
     channel: str
-
-    def __post_init__(self):
-        if self.duration_s <= 0:
-            raise CatalogError(f"non-positive broadcast duration for {self.product_id!r}")
 
     @property
     def end(self) -> datetime:
@@ -196,16 +192,20 @@ class Catalog:
         for v in self.viewing:
             if v.user_id not in known_users:
                 raise CatalogError(f"viewing row references unknown user {v.user_id!r}")
+            if v.duration_s < 0:
+                raise CatalogError(f"negative viewing duration for {v.user_id!r}")
             if prev is not None and prev.user_id == v.user_id and prev.end > v.start:
                 raise CatalogError(
                     f"overlapping viewing intervals for user {v.user_id!r} "
-                    f"at {v.start.strftime(TIMESTAMP_FORMAT)}"
+                    f"at {_format_timestamp(v.start)}"
                 )
             prev = v
 
         for b in self.broadcasts:
             if b.product_id not in known_products:
                 raise CatalogError(f"broadcast references unknown product {b.product_id!r}")
+            if b.duration_s <= 0:
+                raise CatalogError(f"non-positive broadcast duration for {b.product_id!r}")
 
     @property
     def user_ids(self) -> tuple[str, ...]:
@@ -239,29 +239,24 @@ def _format_bool(value: bool) -> str:
     return "yes" if value else "no"
 
 
-def _parse_bool(text: str, path, line_no: int) -> bool:
-    if text == "yes":
-        return True
-    if text == "no":
-        return False
-    raise ParseError(path, line_no, f"expected yes/no, got {text!r}")
+def _format_timestamp(value: datetime) -> str:
+    # isoformat zero-pads years below 1000, which strftime("%Y") does not.
+    return value.isoformat(timespec="minutes")
 
 
-def _parse_timestamp(text: str, path, line_no: int) -> datetime:
-    try:
-        return datetime.strptime(text, TIMESTAMP_FORMAT)
-    except ValueError:
-        raise ParseError(path, line_no, f"bad timestamp {text!r} (want YYYY-MM-DDTHH:MM)") from None
+# The 16 combinations of the four survey answers, e.g. ("yes", "no", "no", "yes").
+_ANSWERS = {tuple(map(_format_bool, answers)): answers
+            for answers in itertools.product((True, False), repeat=4)}
+_SURVEY_BLOCK = 4096  # survey lines split at a time: bounds the yes/no strings alive
+
+_STAMP_SHAPE = "0000-00-00T00:00"  # "0" marks an ASCII digit
+_STAMP_CODES = np.array([ord(c) for c in _STAMP_SHAPE], dtype=np.uint32)
+_STAMP_DIGITS = _STAMP_CODES == ord("0")
+_YEAR_ONE = np.datetime64("0001-01-01T00:00", "m")
 
 
-def _parse_int(text: str, path, line_no: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(path, line_no, f"bad integer {text!r}") from None
-
-
-def _iter_rows(path: Path, table: str):
+def _read_lines(path: Path, table: str) -> list[str]:
+    """The data lines of one table file, after its checked header row."""
     header = _HEADERS[table]
     try:
         text = path.read_text(encoding="utf-8")
@@ -272,78 +267,121 @@ def _iter_rows(path: Path, table: str):
         raise ParseError(path, 1, "missing header row")
     if tuple(lines[0].split("\t")) != header:
         raise ParseError(path, 1, f"bad header, expected {chr(9).join(header)!r}")
-    for line_no, line in enumerate(lines[1:], start=2):
-        if line == "":
-            raise ParseError(path, line_no, "blank line")
-        fields = line.split("\t")
-        if len(fields) != len(header):
-            raise ParseError(path, line_no, f"expected {len(header)} fields, got {len(fields)}")
-        yield line_no, fields
+    del lines[0]
+    width = len(header)
+    if "" in lines or set(map(str.count, lines, itertools.repeat("\t"))) - {width - 1}:
+        for line_no, line in enumerate(lines, start=2):
+            if line == "":
+                raise ParseError(path, line_no, "blank line")
+            if line.count("\t") != width - 1:
+                raise ParseError(path, line_no,
+                                 f"expected {width} fields, got {line.count(chr(9)) + 1}")
+    return lines
+
+
+def _in_range(text: str) -> bool:
+    try:
+        return np.datetime64(text, "m") >= _YEAR_ONE
+    except ValueError:
+        return False
+
+
+def _parse_timestamps(path: Path, texts: list[str]) -> list[datetime]:
+    """Parse a column of ``YYYY-MM-DDTHH:MM`` values, zero-padded ASCII digits
+    and years 0001-9999; the first bad value raises ParseError with its line."""
+    n, width = len(texts), len(_STAMP_SHAPE)
+    column = np.array(texts, dtype=f"<U{width}")
+    codes = column.view(np.uint32).reshape(n, width)
+    digits = (codes >= ord("0")) & (codes <= ord("9"))
+    valid = ((np.fromiter(map(len, texts), np.intp, n) == width)
+             & np.where(_STAMP_DIGITS, digits, codes == _STAMP_CODES).all(axis=1))
+    if valid.all():
+        try:
+            stamps = column.astype("datetime64[m]")
+        except ValueError:  # a month, day, hour or minute out of range
+            valid = np.fromiter(map(_in_range, texts), bool, n)
+        else:
+            valid = stamps >= _YEAR_ONE
+    if not valid.all():
+        i = int(np.argmin(valid))
+        raise ParseError(path, i + 2, f"bad timestamp {texts[i]!r} (want YYYY-MM-DDTHH:MM)")
+    return stamps.astype(object).tolist()
+
+
+def _parse_events(path: Path, table: str, record, min_duration: int, defect: str) -> list:
+    """Parse a viewing or broadcast table by column into ``record`` rows.
+
+    A duration below ``min_duration`` raises ParseError naming ``defect``.
+    """
+    lines = _read_lines(path, table)
+    # One split of the whole table: no per-row lists for the collector to walk.
+    fields = "\t".join(lines).split("\t") if lines else []
+    ids, starts, durations, channels = (fields[i::4] for i in range(4))
+    starts = _parse_timestamps(path, starts)
+    try:
+        durations = list(map(int, durations))
+    except ValueError:
+        for line_no, text in enumerate(durations, start=2):
+            try:
+                int(text)
+            except ValueError:
+                raise ParseError(path, line_no, f"bad integer {text!r}") from None
+    short = np.flatnonzero(np.array(durations) < min_duration)
+    if short.size:
+        i = int(short[0])
+        raise ParseError(path, i + 2, f"{defect} for {ids[i]!r}")
+    return list(map(record._make, zip(ids, starts, durations, channels)))
+
+
+def _parse_survey(path: Path) -> list[SurveyResponse]:
+    lines = _read_lines(path, "survey")
+    users, products, flags = [], [], []
+    for first in range(0, len(lines), _SURVEY_BLOCK):
+        fields = "\t".join(lines[first:first + _SURVEY_BLOCK]).split("\t")
+        users += fields[0::6]
+        products += fields[1::6]
+        flags += map(_ANSWERS.get, zip(*(fields[k::6] for k in range(2, 6))))
+    pairs = list(zip(users, products))
+    if len(set(pairs)) != len(pairs):
+        first_seen: dict[tuple[str, str], int] = {}
+        for line_no, pair in enumerate(pairs, start=2):
+            if pair in first_seen:
+                raise ParseError(
+                    path, line_no,
+                    f"duplicate survey row for {pair} (first seen on line {first_seen[pair]})",
+                )
+            first_seen[pair] = line_no
+    if None in flags:
+        i = flags.index(None)
+        bad = next(f for f in lines[i].split("\t")[2:] if f not in ("yes", "no"))
+        raise ParseError(path, i + 2, f"expected yes/no, got {bad!r}")
+    return list(map(SurveyResponse._make, zip(users, products, *zip(*flags))))
 
 
 def parse_catalog(data_dir: str | Path) -> Catalog:
     """Parse the five panel tables under ``data_dir`` into a validated Catalog.
 
-    Raises ParseError with file and line number for malformed rows, and
-    CatalogError for cross-table invariant violations (dangling foreign keys,
-    duplicate survey pairs, overlapping viewing intervals).
+    Each table is read whole and parsed by column. Raises ParseError with
+    file and line number for malformed rows, and CatalogError for
+    cross-table invariant violations (dangling foreign keys, duplicate survey
+    pairs, overlapping viewing intervals).
     """
     data_dir = Path(data_dir)
 
+    users_path = data_dir / TABLE_FILENAMES["users"]
     users = []
-    for line_no, f in _iter_rows(data_dir / TABLE_FILENAMES["users"], "users"):
+    for line_no, line in enumerate(_read_lines(users_path, "users"), start=2):
         try:
-            users.append(DemographicProfile(*f))
+            users.append(DemographicProfile(*line.split("\t")))
         except CatalogError as exc:
-            raise ParseError(data_dir / TABLE_FILENAMES["users"], line_no, str(exc)) from None
+            raise ParseError(users_path, line_no, str(exc)) from None
 
-    products = [f[0] for _, f in _iter_rows(data_dir / TABLE_FILENAMES["products"], "products")]
-
-    survey_path = data_dir / TABLE_FILENAMES["survey"]
-    responses = []
-    seen_pairs: dict[tuple[str, str], int] = {}
-    for line_no, f in _iter_rows(survey_path, "survey"):
-        pair = (f[0], f[1])
-        if pair in seen_pairs:
-            raise ParseError(
-                survey_path, line_no,
-                f"duplicate survey row for {pair} (first seen on line {seen_pairs[pair]})",
-            )
-        seen_pairs[pair] = line_no
-        responses.append(SurveyResponse(
-            f[0], f[1],
-            _parse_bool(f[2], survey_path, line_no),
-            _parse_bool(f[3], survey_path, line_no),
-            _parse_bool(f[4], survey_path, line_no),
-            _parse_bool(f[5], survey_path, line_no),
-        ))
-
-    viewing_path = data_dir / TABLE_FILENAMES["viewing"]
-    viewing = []
-    for line_no, f in _iter_rows(viewing_path, "viewing"):
-        try:
-            viewing.append(ViewingRecord(
-                f[0],
-                _parse_timestamp(f[1], viewing_path, line_no),
-                _parse_int(f[2], viewing_path, line_no),
-                f[3],
-            ))
-        except CatalogError as exc:
-            raise ParseError(viewing_path, line_no, str(exc)) from None
-
-    broadcast_path = data_dir / TABLE_FILENAMES["broadcasts"]
-    broadcasts = []
-    for line_no, f in _iter_rows(broadcast_path, "broadcasts"):
-        try:
-            broadcasts.append(AdBroadcast(
-                f[0],
-                _parse_timestamp(f[1], broadcast_path, line_no),
-                _parse_int(f[2], broadcast_path, line_no),
-                f[3],
-            ))
-        except CatalogError as exc:
-            raise ParseError(broadcast_path, line_no, str(exc)) from None
-
+    products = _read_lines(data_dir / TABLE_FILENAMES["products"], "products")
+    responses = _parse_survey(data_dir / TABLE_FILENAMES["survey"])
+    viewing = _parse_events(data_dir / TABLE_FILENAMES["viewing"], "viewing",
+                            ViewingRecord, 0, "negative viewing duration")
+    broadcasts = _parse_events(data_dir / TABLE_FILENAMES["broadcasts"], "broadcasts",
+                               AdBroadcast, 1, "non-positive broadcast duration")
     return Catalog.build(users, products, responses, viewing, broadcasts)
 
 
@@ -375,14 +413,14 @@ def serialize_tables(catalog: Catalog) -> dict[str, bytes]:
     buf = io.StringIO()
     buf.write("\t".join(_HEADERS["viewing"]) + "\n")
     for v in catalog.viewing:
-        buf.write("\t".join((v.user_id, v.start.strftime(TIMESTAMP_FORMAT),
+        buf.write("\t".join((v.user_id, _format_timestamp(v.start),
                              str(v.duration_s), v.channel)) + "\n")
     out["viewing"] = buf.getvalue().encode("utf-8")
 
     buf = io.StringIO()
     buf.write("\t".join(_HEADERS["broadcasts"]) + "\n")
     for b in catalog.broadcasts:
-        buf.write("\t".join((b.product_id, b.start.strftime(TIMESTAMP_FORMAT),
+        buf.write("\t".join((b.product_id, _format_timestamp(b.start),
                              str(b.duration_s), b.channel)) + "\n")
     out["broadcasts"] = buf.getvalue().encode("utf-8")
 

@@ -15,7 +15,10 @@ resolution).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from datetime import datetime, timedelta
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +29,8 @@ SLOT_NAMES = ("primetime", "non_primetime")
 
 _DAY = 86400
 _PRIMETIME_START, _PRIMETIME_END = 19 * 3600, 23 * 3600
+_ORIGIN, _SECOND = datetime(1, 1, 1), timedelta(seconds=1)
+_JOIN_BLOCK = 65536  # candidate pairs per join step: bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -48,12 +53,45 @@ class ExposureMatrix:
                                          flipped[index].tolist())}
 
 
-def _intervals(records) -> tuple[np.ndarray, np.ndarray]:
-    """Starts and ends in whole seconds since 0001-01-01 00:00."""
-    starts = np.fromiter(((r.start.toordinal() - 1) * _DAY + r.start.hour * 3600
-                          + r.start.minute * 60 + r.start.second for r in records),
-                         dtype=np.int64, count=len(records))
-    return starts, starts + np.array([r.duration_s for r in records], dtype=np.int64)
+def _codes(values: list[str], keys: tuple[str, ...]) -> np.ndarray:
+    """Position of each value in ``keys``."""
+    index = {key: i for i, key in enumerate(keys)}
+    return np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+
+
+def _seconds(starts) -> np.ndarray:
+    """Whole seconds since 0001-01-01 00:00 of a column of datetimes."""
+    return np.fromiter(map(operator.floordiv, map(operator.sub, starts, repeat(_ORIGIN)),
+                           repeat(_SECOND)), np.int64, len(starts))
+
+
+def _join(seconds: np.ndarray, v_user, v_start, v_end, b_product, b_start, b_end) -> None:
+    """Add the overlaps of one channel's views with its broadcasts, which are
+    sorted by start, to ``seconds``, ``_JOIN_BLOCK`` candidate pairs at a time."""
+    # Broadcasts starting before v.start - max duration cannot reach into v;
+    # the candidates of view i are broadcasts lo[i] .. lo[i]+counts[i]-1, and
+    # they are candidate pairs begins[i] .. ends[i]-1 of the channel.
+    lo = np.searchsorted(b_start, v_start - (b_end - b_start).max())
+    counts = np.searchsorted(b_start, v_end, side="right") - lo
+    ends = np.cumsum(counts)
+    begins = ends - counts
+    cells = seconds.reshape(-1)  # a view: seconds is contiguous
+    n_products = seconds.shape[1]
+    for first in range(0, int(ends[-1]), _JOIN_BLOCK):
+        last = min(first + _JOIN_BLOCK, int(ends[-1]))
+        i, j = np.searchsorted(ends, (first, last - 1), side="right")
+        views = np.arange(i, j + 1)  # the views that own pairs first .. last-1
+        pair_v = np.repeat(views, np.minimum(ends[views], last)
+                           - np.maximum(begins[views], first))
+        pair_b = lo[pair_v] + np.arange(first, last) - begins[pair_v]
+        start = np.maximum(v_start[pair_v], b_start[pair_b])
+        overlap = np.minimum(v_end[pair_v], b_end[pair_b]) - start
+        hit = np.flatnonzero(overlap > 0)
+        day, clock = np.divmod(start[hit], _DAY)
+        non_primetime = (clock < _PRIMETIME_START) | (clock >= _PRIMETIME_END)
+        cell = ((v_user[pair_v[hit]] * n_products + b_product[pair_b[hit]]) * 7
+                + day % 7) * len(SLOT_NAMES) + non_primetime
+        np.add.at(cells, cell, overlap[hit])
 
 
 def compute_exposure(viewing: list[ViewingRecord],
@@ -63,40 +101,30 @@ def compute_exposure(viewing: list[ViewingRecord],
     Pure function of its inputs; empty inputs yield an all-zero matrix. Per
     matched pair the credited seconds never exceed the broadcast duration.
     """
-    user_ids = tuple(sorted({v.user_id for v in viewing}))
-    product_ids = tuple(sorted({b.product_id for b in broadcasts}))
-    user_index = {u: i for i, u in enumerate(user_ids)}
-    product_index = {p: j for j, p in enumerate(product_ids)}
+    v_users = [v.user_id for v in viewing]
+    b_products = [b.product_id for b in broadcasts]
+    user_ids = tuple(sorted(set(v_users)))
+    product_ids = tuple(sorted(set(b_products)))
+    channels = tuple(sorted({v.channel for v in viewing} | {b.channel for b in broadcasts}))
     seconds = np.zeros((len(user_ids), len(product_ids), 7, len(SLOT_NAMES)),
                        dtype=np.int64)
 
-    by_channel: dict[str, tuple[list, list]] = {}
-    for v in viewing:
-        by_channel.setdefault(v.channel, ([], []))[0].append(v)
-    for b in broadcasts:
-        by_channel.setdefault(b.channel, ([], []))[1].append(b)
-    for views, items in by_channel.values():
-        if not views or not items:
-            continue
-        items.sort(key=lambda b: b.start)
-        v_start, v_end = _intervals(views)
-        b_start, b_end = _intervals(items)
-        # Broadcasts starting before v.start - max duration cannot reach into
-        # v; the candidates of view i are broadcasts lo[i] .. lo[i]+counts[i]-1.
-        lo = np.searchsorted(b_start, v_start - (b_end - b_start).max())
-        counts = np.searchsorted(b_start, v_end, side="right") - lo
-        pair_v = np.repeat(np.arange(len(views)), counts)
-        pair_b = np.arange(counts.sum()) + np.repeat(lo + counts - np.cumsum(counts),
-                                                     counts)
-        start = np.maximum(v_start[pair_v], b_start[pair_b])
-        overlap = np.minimum(v_end[pair_v], b_end[pair_b]) - start
-        hit = overlap > 0
-        start, clock = start[hit], start[hit] % _DAY
-        non_primetime = (clock < _PRIMETIME_START) | (clock >= _PRIMETIME_END)
-        users = np.array([user_index[v.user_id] for v in views])[pair_v[hit]]
-        products = np.array([product_index[b.product_id] for b in items])[pair_b[hit]]
-        np.add.at(seconds, (users, products, start // _DAY % 7,
-                            non_primetime.astype(np.intp)), overlap[hit])
+    v_user = _codes(v_users, user_ids)
+    v_start = _seconds([v.start for v in viewing])
+    v_end = v_start + np.array([v.duration_s for v in viewing], dtype=np.int64)
+    v_channel = _codes([v.channel for v in viewing], channels)
+    b_product = _codes(b_products, product_ids)
+    b_start = _seconds([b.start for b in broadcasts])
+    b_end = b_start + np.array([b.duration_s for b in broadcasts], dtype=np.int64)
+    b_channel = _codes([b.channel for b in broadcasts], channels)
+
+    by_start = np.argsort(b_start, kind="stable")
+    for c in range(len(channels)):
+        v = np.flatnonzero(v_channel == c)
+        b = by_start[b_channel[by_start] == c]
+        if v.size and b.size:
+            _join(seconds, v_user[v], v_start[v], v_end[v],
+                  b_product[b], b_start[b], b_end[b])
     return ExposureMatrix(user_ids, product_ids, seconds)
 
 

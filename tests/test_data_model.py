@@ -103,9 +103,18 @@ def test_incomplete_survey_rejected(tiny_catalog):
                       tiny_catalog.broadcasts)
 
 
-def test_non_positive_broadcast_duration_rejected():
-    with pytest.raises(CatalogError):
-        AdBroadcast("p01", datetime(2017, 1, 23, 20, 30), 0, "ch1")
+def test_non_positive_broadcast_duration_rejected(tiny_catalog):
+    broadcasts = [AdBroadcast("p01", datetime(2017, 1, 23, 20, 30), 0, "ch1")]
+    with pytest.raises(CatalogError, match="non-positive broadcast duration"):
+        Catalog.build(tiny_catalog.users, tiny_catalog.products,
+                      tiny_catalog.responses, tiny_catalog.viewing, broadcasts)
+
+
+def test_negative_viewing_duration_rejected(tiny_catalog):
+    viewing = [ViewingRecord("u001", datetime(2017, 1, 23, 20, 0), -1, "ch1")]
+    with pytest.raises(CatalogError, match="negative viewing duration"):
+        Catalog.build(tiny_catalog.users, tiny_catalog.products,
+                      tiny_catalog.responses, viewing, tiny_catalog.broadcasts)
 
 
 def test_fingerprint_tracks_content(tiny_catalog):
@@ -137,3 +146,70 @@ def test_fingerprint_is_memoized_and_ignored_by_equality(tiny_catalog, tmp_path)
     assert first == second  # the memo on one side does not break equality
     assert second.fingerprint() == fp == tiny_catalog.fingerprint()
     assert hash(first) == hash(second)
+
+
+@pytest.mark.parametrize("start, stamp", [
+    (datetime(1, 1, 1, 0, 0), "0001-01-01T00:00"),
+    (datetime(999, 1, 2, 3, 4), "0999-01-02T03:04"),
+    (datetime(9999, 12, 31, 23, 59), "9999-12-31T23:59"),
+])
+def test_round_trip_extreme_years(tiny_catalog, tmp_path, start, stamp):
+    viewing = [ViewingRecord("u001", start, 0, "ch1")]
+    broadcasts = [AdBroadcast("p01", start, 15, "ch1")]
+    catalog = Catalog.build(tiny_catalog.users, tiny_catalog.products,
+                            tiny_catalog.responses, viewing, broadcasts)
+    write_catalog(catalog, tmp_path)
+    assert f"\t{stamp}\t" in (tmp_path / TABLE_FILENAMES["viewing"]).read_text()
+    assert parse_catalog(tmp_path) == catalog
+
+
+def _corrupt_second_row(catalog, directory, table, column, value):
+    """Write ``catalog`` and set one field of data row 2 (file line 3) of ``table``."""
+    write_catalog(catalog, directory)
+    path = directory / TABLE_FILENAMES[table]
+    lines = path.read_text().splitlines()
+    fields = lines[2].split("\t")
+    fields[column] = value
+    lines[2] = "\t".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("stamp", [
+    "2024-1-5T1:2",  # unpadded
+    "2017-01-23 20:00",  # space separator
+    "2017-01-23T20:00Z",  # trailing zone
+    "２０１７-01-23T20:00",  # full-width digits
+    "2017-02-29T10:00",  # no such day
+    "2017-01-23T24:00",  # no such hour
+    "0000-01-01T00:00",  # year 0
+    "2017-01-23T20:0",  # 15 characters
+    "2017-01-23T20:000",  # 17 characters
+])
+@pytest.mark.parametrize("table", ["viewing", "broadcasts"])
+def test_malformed_timestamp_names_line(tiny_catalog, tmp_path, table, stamp):
+    catalog = Catalog.build(
+        tiny_catalog.users, tiny_catalog.products, tiny_catalog.responses,
+        tiny_catalog.viewing,
+        list(tiny_catalog.broadcasts) + [AdBroadcast("p01", datetime(2017, 1, 24), 15, "ch2")])
+    _corrupt_second_row(catalog, tmp_path, table, 1, stamp)
+    with pytest.raises(ParseError, match="bad timestamp") as err:
+        parse_catalog(tmp_path)
+    assert f"{TABLE_FILENAMES[table]}:3:" in str(err.value)
+
+
+def test_negative_viewing_duration_in_file_names_line(tiny_catalog, tmp_path):
+    _corrupt_second_row(tiny_catalog, tmp_path, "viewing", 2, "-1")
+    with pytest.raises(ParseError, match="negative viewing duration") as err:
+        parse_catalog(tmp_path)
+    assert "viewing.tsv:3:" in str(err.value)
+
+
+def test_zero_broadcast_duration_in_file_names_line(tiny_catalog, tmp_path):
+    broadcasts = list(tiny_catalog.broadcasts) + [
+        AdBroadcast("p01", datetime(2017, 1, 24), 15, "ch2")]
+    catalog = Catalog.build(tiny_catalog.users, tiny_catalog.products,
+                            tiny_catalog.responses, tiny_catalog.viewing, broadcasts)
+    _corrupt_second_row(catalog, tmp_path, "broadcasts", 2, "0")
+    with pytest.raises(ParseError, match="non-positive broadcast duration") as err:
+        parse_catalog(tmp_path)
+    assert "broadcasts.tsv:3:" in str(err.value)

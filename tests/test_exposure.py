@@ -1,7 +1,9 @@
 from datetime import datetime, time, timedelta
 
 import numpy as np
+import pytest
 
+from adpredict import exposure
 from adpredict.data_model import AdBroadcast, ViewingRecord
 from adpredict.exposure import ExposureMatrix, compute_exposure, write_exposure_table
 from adpredict.features import (BaseKind, InputConfig, InputKind, ModelBase, Panel,
@@ -119,6 +121,24 @@ def test_matches_per_second_oracle():
         fast = compute_exposure(viewing, broadcasts)
         slow = brute_force_exposure(viewing, broadcasts)
         assert fast.cells == slow
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_blocked_join_matches_per_second_oracle(monkeypatch, block):
+    rng = np.random.default_rng(31)
+    schedules = [_random_schedule(rng, n_broadcasts=30) for _ in range(8)]
+    for viewing, broadcasts in schedules:
+        # ch9 has views and no broadcasts; the 2016 view precedes every
+        # broadcast of ch0, so it has no candidates.
+        viewing += [ViewingRecord("u9", datetime(2017, 1, 23, 20, 0), 3600, "ch9"),
+                    ViewingRecord("u0", datetime(2016, 1, 1, 3, 0), 600, "ch0")]
+        broadcasts.append(AdBroadcast("p0", datetime(2017, 1, 23, 19, 0), 30, "ch0"))
+    whole = [compute_exposure(v, b).seconds for v, b in schedules]
+    monkeypatch.setattr(exposure, "_JOIN_BLOCK", block)
+    for (viewing, broadcasts), expected in zip(schedules, whole):
+        blocked = compute_exposure(viewing, broadcasts)
+        assert blocked.cells == brute_force_exposure(viewing, broadcasts)
+        assert np.array_equal(blocked.seconds, expected)
 
 
 def test_additive_over_viewing_partition():
