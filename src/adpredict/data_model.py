@@ -14,8 +14,10 @@ from __future__ import annotations
 import hashlib
 import io
 import itertools
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -155,9 +157,11 @@ class Catalog:
         """Sort all tables by primary key and enforce the catalog invariants."""
         users = tuple(sorted(users, key=lambda u: u.user_id))
         products = tuple(sorted(products))
-        responses = tuple(sorted(responses, key=lambda r: (r.user_id, r.product_id)))
-        viewing = tuple(sorted(viewing, key=lambda v: (v.user_id, v.start, v.channel)))
-        broadcasts = tuple(sorted(broadcasts, key=lambda b: (b.product_id, b.start, b.channel)))
+        # Record fields 0, 1 and 3: (user_id, product_id) for responses,
+        # (user_id, start, channel) and (product_id, start, channel) for events.
+        responses = tuple(sorted(responses, key=itemgetter(0, 1)))
+        viewing = tuple(sorted(viewing, key=itemgetter(0, 1, 3)))
+        broadcasts = tuple(sorted(broadcasts, key=itemgetter(0, 1, 3)))
         catalog = cls(users, products, responses, viewing, broadcasts)
         catalog._validate()
         return catalog
@@ -254,6 +258,12 @@ _STAMP_CODES = np.array([ord(c) for c in _STAMP_SHAPE], dtype=np.uint32)
 _STAMP_DIGITS = _STAMP_CODES == ord("0")
 _YEAR_ONE = np.datetime64("0001-01-01T00:00", "m")
 
+# A duration is ASCII digits with an optional minus: plain ``int`` would also
+# take spaces, "+", "_" and non-ASCII digits. At most 18 digits keep every
+# value inside int64, which the exposure join computes in.
+_INTEGER = re.compile(r"-?[0-9]{1,18}")
+_INTEGERS = re.compile(rf"{_INTEGER.pattern}(?:\n{_INTEGER.pattern})*")
+
 
 def _read_lines(path: Path, table: str) -> list[str]:
     """The data lines of one table file, after its checked header row."""
@@ -318,14 +328,12 @@ def _parse_events(path: Path, table: str, record, min_duration: int, defect: str
     fields = "\t".join(lines).split("\t") if lines else []
     ids, starts, durations, channels = (fields[i::4] for i in range(4))
     starts = _parse_timestamps(path, starts)
-    try:
-        durations = list(map(int, durations))
-    except ValueError:
-        for line_no, text in enumerate(durations, start=2):
-            try:
-                int(text)
-            except ValueError:
-                raise ParseError(path, line_no, f"bad integer {text!r}") from None
+    # Fields hold no newline (lines come from splitlines), so one match of
+    # the joined column checks every value.
+    if durations and not _INTEGERS.fullmatch("\n".join(durations)):
+        i = next(i for i, text in enumerate(durations) if not _INTEGER.fullmatch(text))
+        raise ParseError(path, i + 2, f"bad integer {durations[i]!r}")
+    durations = list(map(int, durations))
     short = np.flatnonzero(np.array(durations) < min_duration)
     if short.size:
         i = int(short[0])

@@ -64,12 +64,17 @@ def metrics(confusion: Confusion) -> tuple[float, float, float]:
 
 
 def confusion_from(y_true: np.ndarray, y_pred: np.ndarray) -> Confusion:
+    """Confusion counts of two 0/1 label vectors; any other label is a ValueError."""
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
-    tp = int(np.sum((y_true == 1) & (y_pred == 1)))
-    fp = int(np.sum((y_true == 0) & (y_pred == 1)))
-    tn = int(np.sum((y_true == 0) & (y_pred == 0)))
-    fn = int(np.sum((y_true == 1) & (y_pred == 0)))
+    true_pos = y_true == 1
+    pred_pos = y_pred == 1
+    tn, fp, fn, tp = np.bincount(2 * true_pos + pred_pos, minlength=4).tolist()
+    # A label outside {0, 1} is non-zero but not 1, so the non-zero counts
+    # exceed the positive cells.
+    if (np.count_nonzero(y_true) != fn + tp
+            or np.count_nonzero(y_pred) != fp + tp):
+        raise ValueError("confusion labels must be 0 or 1")
     return Confusion(tp=tp, fp=fp, tn=tn, fn=fn)
 
 

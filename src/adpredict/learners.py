@@ -119,12 +119,11 @@ Model = LinearModel | BoostedEnsemble
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # min(z, -z) is -|z|: each side gets its overflow-free form, 1/(1 + e^-z)
+    # or e^z/(1 + e^z). Unlike -abs(z) it keeps the sign bit of a NaN, since
+    # minimum returns its first NaN argument.
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _check_matrix(X, expected_dims: int | None = None) -> np.ndarray:
@@ -154,8 +153,8 @@ def _canonical_order(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Identical (row, label) pairs are interchangeable, so all trainers become
     invariant to the incoming row order, bit for bit.
     """
-    keys = [y] + [X[:, j] for j in range(X.shape[1] - 1, -1, -1)]
-    order = np.lexsort(keys)
+    # lexsort's primary key is its last row: column 0 first, the label last.
+    order = np.lexsort(np.vstack([y, X.T[::-1]]))
     return np.ascontiguousarray(X[order]), y[order]
 
 
@@ -318,52 +317,78 @@ def train_svm(X, y, params: LearnerParams = LearnerParams(),
 def logistic_objective(X: np.ndarray, y: np.ndarray, weights: np.ndarray,
                        bias: float, l2: float) -> float:
     """Penalized negative log-likelihood; the bias term is not penalized."""
-    z = X @ weights + bias
-    nll = float(np.sum(np.logaddexp(0.0, z) - y * z))
-    return nll + 0.5 * l2 * float(weights @ weights)
+    return _objective_at(X @ weights + bias, y, weights, l2)
 
 
 def logistic_gradient(X: np.ndarray, y: np.ndarray, weights: np.ndarray,
                       bias: float, l2: float) -> np.ndarray:
     """Gradient of ``logistic_objective`` w.r.t. (weights..., bias)."""
-    p = sigmoid(X @ weights + bias)
-    residual = p - y
-    grad_w = X.T @ residual + l2 * weights
-    grad_b = float(residual.sum())
-    return np.concatenate([grad_w, [grad_b]])
+    grad = np.empty(X.shape[1] + 1)
+    _gradient_into(grad, X, y, X @ weights + bias, weights, l2)
+    return grad
+
+
+def _objective_at(z: np.ndarray, y: np.ndarray, weights: np.ndarray,
+                  l2: float) -> float:
+    """``logistic_objective`` given its linear predictor ``z = X @ weights + bias``."""
+    nll = float((np.logaddexp(0.0, z) - y * z).sum())
+    return nll + 0.5 * l2 * float(weights @ weights)
+
+
+def _gradient_into(grad: np.ndarray, X: np.ndarray, y: np.ndarray, z: np.ndarray,
+                   weights: np.ndarray, l2: float) -> None:
+    """Write ``logistic_gradient`` at the linear predictor ``z`` into ``grad``."""
+    residual = sigmoid(z) - y
+    grad_w = grad[:-1]
+    np.matmul(X.T, residual, out=grad_w)
+    grad_w += l2 * weights
+    grad[-1] = residual.sum()
 
 
 def train_logreg(X, y, params: LearnerParams = LearnerParams()) -> LinearModel:
-    """Damped Newton solver, unit sample weights, unpenalized bias."""
+    """Damped Newton solver, unit sample weights, unpenalized bias.
+
+    Stops when the gradient norm falls below ``logreg_tol``, after
+    ``logreg_max_iter`` Newton steps, or when 40 halvings of a step find no
+    strict decrease of the objective. The linear predictor ``X @ w + b`` of
+    the accepted candidate, computed for its objective, is the one the next
+    gradient uses.
+    """
     X, y = _check_training_input(X, y)
-    classes = np.unique(y)
-    if classes.size == 1:
-        rate = min(max(classes[0], _PROB_CLAMP), 1.0 - _PROB_CLAMP)
-        model = LinearModel(weights=np.zeros(X.shape[1]),
-                            bias=math.log(rate / (1.0 - rate)), kind="logistic")
-        return model
+    if y.min() == y.max():  # a single class
+        rate = min(max(y[0], _PROB_CLAMP), 1.0 - _PROB_CLAMP)
+        return LinearModel(weights=np.zeros(X.shape[1]),
+                           bias=math.log(rate / (1.0 - rate)), kind="logistic")
     X, y = _canonical_order(X, y)
     n, d = X.shape
     l2 = params.logreg_l2
     beta = np.zeros(d + 1)
-    Xb = np.hstack([X, np.ones((n, 1))])
-    penalty = np.append(np.full(d, l2), 0.0)
+    Xb = np.empty((n, d + 1))
+    Xb[:, :d] = X
+    Xb[:, d] = 1.0
+    penalty = l2 * np.eye(d + 1)
+    penalty[d, d] = 0.0  # the bias is not penalized
+    grad = np.empty(d + 1)
 
-    obj = logistic_objective(X, y, beta[:d], beta[d], l2)
+    z = X @ beta[:d] + beta[d]
+    obj = _objective_at(z, y, beta[:d], l2)
     for _ in range(params.logreg_max_iter):
-        grad = logistic_gradient(X, y, beta[:d], beta[d], l2)
-        if float(np.linalg.norm(grad)) < params.logreg_tol:
+        _gradient_into(grad, X, y, z, beta[:d], l2)
+        # np.linalg.norm of a 1-D float vector is sqrt(x.dot(x)).
+        if math.sqrt(grad.dot(grad)) < params.logreg_tol:
             break
-        p = sigmoid(Xb @ beta)
-        curvature = p * (1.0 - p)
-        hessian = Xb.T @ (Xb * curvature[:, None]) + np.diag(penalty)
+        curvature = sigmoid(Xb @ beta)
+        curvature *= 1.0 - curvature
+        hessian = Xb.T @ (Xb * curvature[:, None])
+        hessian += penalty
         step = np.linalg.solve(hessian, grad)
         scale = 1.0
         for _ in range(40):
             candidate = beta - scale * step
-            cand_obj = logistic_objective(X, y, candidate[:d], candidate[d], l2)
+            cand_z = X @ candidate[:d] + candidate[d]
+            cand_obj = _objective_at(cand_z, y, candidate[:d], l2)
             if cand_obj < obj:
-                beta, obj = candidate, cand_obj
+                beta, z, obj = candidate, cand_z, cand_obj
                 break
             scale *= 0.5
         else:

@@ -213,3 +213,32 @@ def test_zero_broadcast_duration_in_file_names_line(tiny_catalog, tmp_path):
     with pytest.raises(ParseError, match="non-positive broadcast duration") as err:
         parse_catalog(tmp_path)
     assert "broadcasts.tsv:3:" in str(err.value)
+
+
+@pytest.mark.parametrize("duration", [
+    " １_２０ ",  # full-width digits, underscore and spaces
+    "+5",  # explicit plus
+    "1_0",  # digit separator
+    " 12",  # leading space
+    "12 ",  # trailing space
+    "--5",  # doubled sign
+    "",  # empty
+    "1" + "0" * 18,  # 19 digits, beyond int64
+])
+@pytest.mark.parametrize("table", ["viewing", "broadcasts"])
+def test_malformed_duration_names_line(tiny_catalog, tmp_path, table, duration):
+    catalog = Catalog.build(
+        tiny_catalog.users, tiny_catalog.products, tiny_catalog.responses,
+        tiny_catalog.viewing,
+        list(tiny_catalog.broadcasts) + [AdBroadcast("p01", datetime(2017, 1, 24), 15, "ch2")])
+    _corrupt_second_row(catalog, tmp_path, table, 2, duration)
+    with pytest.raises(ParseError, match="bad integer") as err:
+        parse_catalog(tmp_path)
+    assert f"{TABLE_FILENAMES[table]}:3:" in str(err.value)
+
+
+def test_negative_duration_with_many_digits_names_defect(tiny_catalog, tmp_path):
+    _corrupt_second_row(tiny_catalog, tmp_path, "viewing", 2, "-" + "9" * 18)
+    with pytest.raises(ParseError, match="negative viewing duration") as err:
+        parse_catalog(tmp_path)
+    assert "viewing.tsv:3:" in str(err.value)

@@ -36,6 +36,32 @@ def test_confusion_from_predictions():
     assert confusion.total == 5
 
 
+def four_mask_confusion(y_true, y_pred):
+    """The per-cell mask counts ``confusion_from`` must reproduce."""
+    return Confusion(tp=int(np.sum((y_true == 1) & (y_pred == 1))),
+                     fp=int(np.sum((y_true == 0) & (y_pred == 1))),
+                     tn=int(np.sum((y_true == 0) & (y_pred == 0))),
+                     fn=int(np.sum((y_true == 1) & (y_pred == 0))))
+
+
+def test_confusion_from_matches_four_masks():
+    rng = np.random.default_rng(17)
+    for n in [0, 0, 1, 2, 5, 6, 29, 300]:
+        for dtype in (np.int64, bool, np.float64):
+            y_true = rng.integers(0, 2, size=n).astype(dtype)
+            y_pred = rng.integers(0, 2, size=n).astype(dtype)
+            assert confusion_from(y_true, y_pred) == four_mask_confusion(y_true, y_pred)
+    assert confusion_from([], []) == Confusion(tp=0, fp=0, tn=0, fn=0)
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+def test_confusion_from_rejects_labels_outside_zero_one(bad):
+    for y_true, y_pred in ((np.array([1.0, 0.0, bad]), np.array([1.0, 0.0, 1.0])),
+                           (np.array([1.0, 0.0, 1.0]), np.array([1.0, bad, 0.0]))):
+        with pytest.raises(ValueError, match="0 or 1"):
+            confusion_from(y_true, y_pred)
+
+
 def test_kfold_balanced_sizes():
     folds = kfold_split(10, 5, seed=1)
     assert [len(f) for f in folds] == [2] * 5

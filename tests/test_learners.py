@@ -264,6 +264,148 @@ def test_logreg_single_class_constant():
     assert predict(model, X).tolist() == [1] * 4
 
 
+def reference_sigmoid(z):
+    """The masked two-branch logistic that ``sigmoid`` must reproduce bit for bit."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_canonical_order(X, y):
+    """Row order from one lexsort key per column, label last (least significant)."""
+    keys = [y] + [X[:, j] for j in range(X.shape[1] - 1, -1, -1)]
+    order = np.lexsort(keys)
+    return np.ascontiguousarray(X[order]), y[order]
+
+
+def reference_train_logreg(X, y, params=LearnerParams(), stops=None):
+    """The straightforward solver that ``train_logreg`` must reproduce bit for bit.
+
+    Objective and gradient are recomputed from scratch at every point, the
+    Hessian penalty is rebuilt per step, and the stopping rule is
+    ``np.linalg.norm``. When ``stops`` is a list, the reason the solver
+    stopped ("tol", "max_iter" or "line_search") is appended to it.
+    """
+    def objective(w, b):
+        z = X @ w + b
+        nll = float(np.sum(np.logaddexp(0.0, z) - y * z))
+        return nll + 0.5 * l2 * float(w @ w)
+
+    def gradient(w, b):
+        residual = reference_sigmoid(X @ w + b) - y
+        return np.concatenate([X.T @ residual + l2 * w, [float(residual.sum())]])
+
+    X, y = learners._check_training_input(X, y)
+    classes = np.unique(y)
+    if classes.size == 1:
+        rate = min(max(classes[0], learners._PROB_CLAMP), 1.0 - learners._PROB_CLAMP)
+        return LinearModel(weights=np.zeros(X.shape[1]),
+                           bias=math.log(rate / (1.0 - rate)), kind="logistic")
+    X, y = reference_canonical_order(X, y)
+    n, d = X.shape
+    l2 = params.logreg_l2
+    beta = np.zeros(d + 1)
+    Xb = np.hstack([X, np.ones((n, 1))])
+    penalty = np.append(np.full(d, l2), 0.0)
+    reason = "max_iter"
+    obj = objective(beta[:d], beta[d])
+    for _ in range(params.logreg_max_iter):
+        grad = gradient(beta[:d], beta[d])
+        if float(np.linalg.norm(grad)) < params.logreg_tol:
+            reason = "tol"
+            break
+        p = reference_sigmoid(Xb @ beta)
+        curvature = p * (1.0 - p)
+        hessian = Xb.T @ (Xb * curvature[:, None]) + np.diag(penalty)
+        step = np.linalg.solve(hessian, grad)
+        scale = 1.0
+        for _ in range(40):
+            candidate = beta - scale * step
+            cand_obj = objective(candidate[:d], candidate[d])
+            if cand_obj < obj:
+                beta, obj = candidate, cand_obj
+                break
+            scale *= 0.5
+        else:
+            reason = "line_search"
+            break
+    if stops is not None:
+        stops.append(reason)
+    return LinearModel(weights=beta[:d], bias=float(beta[d]), kind="logistic")
+
+
+def assert_same_logreg_fit(X, y, params):
+    stops = []
+    expected = reference_train_logreg(X, y, params, stops)
+    actual = train_logreg(X, y, params)
+    assert actual.weights.tobytes() == expected.weights.tobytes()
+    assert np.float64(actual.bias).tobytes() == np.float64(expected.bias).tobytes()
+    return stops
+
+
+def logreg_oracle_cases(rng):
+    """(X, y, params) shaped like user-based folds of the experiment matrix."""
+    defaults = LearnerParams()
+    for d in (7, 14, 25, 39):
+        for scale in (1.0, 500.0, 3000.0):  # raw exposure seconds at x500, x3000
+            for _ in range(3):
+                X, y = random_instance(rng, 29, d)
+                if scale != 1.0:
+                    X[:, :d - 2] = np.abs(X[:, :d - 2]) * scale
+                yield X, y, defaults
+    X, y = random_instance(rng, 29, 7)
+    X[:, 3] = 0.0  # a zero column
+    yield X, y, defaults
+    X, y = random_instance(rng, 12, 5)  # duplicate rows with conflicting labels
+    yield np.vstack([X, X, X[:5]]), np.concatenate([y, y, 1 - y[:5]]), defaults
+    X = rng.normal(size=(29, 6))  # near-separable: one row on the wrong side
+    y = (X[:, 0] > 0).astype(np.int64)
+    y[int(np.argmin(np.abs(X[:, 0])))] ^= 1
+    yield X * 40.0, y, defaults
+    for max_iter in (1, 2):
+        X, y = random_instance(rng, 29, 14)
+        X[:, :12] = np.abs(X[:, :12]) * 3000.0
+        yield X, y, LearnerParams(logreg_max_iter=max_iter)
+
+
+def test_logreg_matches_reference_solver_bit_for_bit():
+    rng = np.random.default_rng(71)
+    stops = [stop for X, y, params in logreg_oracle_cases(rng)
+             for stop in assert_same_logreg_fit(X, y, params)]
+    # Every way out of the Newton loop is exercised.
+    assert {"tol", "max_iter", "line_search"} <= set(stops)
+
+
+def test_sigmoid_matches_masked_reference_bit_for_bit():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0,
+                        746.0, -746.0, tiny, -tiny, 1e-310, -1e-310, 1e-300,
+                        -1e-300, 36.7, -36.7, 709.8, -709.8])
+    grid = np.linspace(-800.0, 800.0, 200_001)
+    for z in (special, grid, grid[:0:-1].reshape(-1, 8), np.float64(-3.5)):
+        expected = reference_sigmoid(z)
+        actual = sigmoid(z)
+        assert np.shape(actual) == np.shape(expected)
+        assert np.asarray(actual).tobytes() == expected.tobytes()
+
+
+def test_canonical_order_matches_one_key_per_column():
+    rng = np.random.default_rng(73)
+    for n, d in ((1, 1), (2, 3), (29, 7), (60, 4), (40, 0)):
+        # Few distinct values, so ties reach the later columns and the label.
+        X = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+        y = rng.integers(0, 2, size=n).astype(np.float64)
+        X_new, y_new = learners._canonical_order(X, y)
+        X_ref, y_ref = reference_canonical_order(X, y)
+        assert X_new.tobytes() == X_ref.tobytes()
+        assert y_new.tobytes() == y_ref.tobytes()
+        assert X_new.flags.c_contiguous
+
+
 # ---------------------------------------------------------------------------
 # Gradient boosted trees
 # ---------------------------------------------------------------------------
