@@ -1,3 +1,6 @@
+import dataclasses
+import gc
+import sys
 from datetime import datetime
 
 import numpy as np
@@ -6,7 +9,12 @@ import pytest
 from adpredict.data_model import (CatalogError, ParseError, TABLE_FILENAMES,
                                   parse_catalog, serialize_tables, write_catalog,
                                   AdBroadcast, Catalog, ViewingRecord)
+from adpredict.synthgen import generate_panel
 from conftest import random_catalog
+from test_golden import GOLDEN_PANEL
+
+# The tab separator and every line boundary of str.splitlines.
+UNWRITABLE = "\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def test_advert_matched_is_broadcast_subset(tiny_catalog):
@@ -242,3 +250,126 @@ def test_negative_duration_with_many_digits_names_defect(tiny_catalog, tmp_path)
     with pytest.raises(ParseError, match="negative viewing duration") as err:
         parse_catalog(tmp_path)
     assert "viewing.tsv:3:" in str(err.value)
+
+
+def _tables_renamed(catalog, field, old, new):
+    """The five tables of ``catalog`` with every ``field`` equal to ``old`` set to ``new``."""
+    def rename(record):
+        if getattr(record, field, None) != old:
+            return record
+        if dataclasses.is_dataclass(record):
+            return dataclasses.replace(record, **{field: new})
+        return record._replace(**{field: new})
+
+    products = [new if field == "product_id" and p == old else p for p in catalog.products]
+    return ([rename(u) for u in catalog.users], products,
+            [rename(r) for r in catalog.responses], [rename(v) for v in catalog.viewing],
+            [rename(b) for b in catalog.broadcasts])
+
+
+@pytest.mark.parametrize("char", UNWRITABLE)
+@pytest.mark.parametrize("field, old", [("user_id", "u001"), ("product_id", "p01"),
+                                        ("channel", "ch1")])
+def test_identifier_that_cannot_round_trip_rejected(tiny_catalog, field, old, char):
+    tables = _tables_renamed(tiny_catalog, field, old, f"x{char}y")
+    with pytest.raises(CatalogError, match="contains a tab or line break"):
+        Catalog.build(*tables)
+
+
+def test_unwritable_characters_are_the_splitlines_boundaries():
+    boundaries = {c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) == 2}
+    assert boundaries == set(UNWRITABLE) - {"\t"}
+
+
+def test_empty_product_id_rejected(tiny_catalog):
+    with pytest.raises(CatalogError, match="empty product_id"):
+        Catalog.build(*_tables_renamed(tiny_catalog, "product_id", "p02", ""))
+
+
+def test_unusual_identifiers_round_trip(tiny_catalog, tmp_path):
+    tables = _tables_renamed(tiny_catalog, "user_id", "u001", "")
+    catalog = Catalog.build(*tables)
+    catalog = Catalog.build(*_tables_renamed(catalog, "user_id", "u002", "u 2\x1f"))
+    catalog = Catalog.build(*_tables_renamed(catalog, "product_id", "p01", " é p "))
+    catalog = Catalog.build(*_tables_renamed(catalog, "channel", "ch1", ""))
+    write_catalog(catalog, tmp_path)
+    assert parse_catalog(tmp_path) == catalog
+
+
+# The files carry minutes only: a view at 20:00:30 would be written as 20:00,
+# and its catalog would share the fingerprint of one with a view at 20:00.
+@pytest.mark.parametrize("start", [datetime(2017, 1, 24, 20, 0, 30),
+                                   datetime(2017, 1, 24, 20, 0, 0, 1)])
+@pytest.mark.parametrize("table", ["viewing", "broadcasts"])
+def test_sub_minute_start_rejected(tiny_catalog, table, start):
+    events = {"viewing": list(tiny_catalog.viewing),
+              "broadcasts": list(tiny_catalog.broadcasts)}
+    events[table].append(events[table][0]._replace(start=start))
+    with pytest.raises(CatalogError, match="is not a whole minute"):
+        Catalog.build(tiny_catalog.users, tiny_catalog.products, tiny_catalog.responses,
+                      events["viewing"], events["broadcasts"])
+
+
+@pytest.fixture
+def collections():
+    """For each cyclic collection that starts during the test, the code
+    objects of the frames that were running when it started."""
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            codes, frame = set(), sys._getframe(1)
+            while frame is not None:
+                codes.add(frame.f_code)
+                frame = frame.f_back
+            started.append(codes)
+
+    gc.callbacks.append(record)
+    try:
+        yield started
+    finally:
+        gc.callbacks.remove(record)
+
+
+def test_parse_starts_no_collection(tmp_path, collections):
+    write_catalog(generate_panel(GOLDEN_PANEL), tmp_path)
+    body = getattr(parse_catalog, "__wrapped__", parse_catalog).__code__
+    gc.collect()
+    catalog = parse_catalog(tmp_path)
+    # The backlog of the pause is collected once the body has returned.
+    assert not [stack for stack in collections if body in stack]
+    assert len(catalog.viewing) > 700  # more new records than the youngest threshold
+    assert gc.isenabled()
+
+
+def _dangling_panel(catalog, directory):
+    write_catalog(catalog, directory)
+    broadcasts = directory / TABLE_FILENAMES["broadcasts"]
+    broadcasts.write_text(broadcasts.read_text().replace("p01", "p99"))
+
+
+def test_collector_enabled_again_after_parse_and_errors(tiny_catalog, tmp_path):
+    write_catalog(tiny_catalog, tmp_path / "good")
+    parse_catalog(tmp_path / "good")
+    assert gc.isenabled()
+    with pytest.raises(ParseError, match="file not found"):
+        parse_catalog(tmp_path / "missing")
+    assert gc.isenabled()
+    _dangling_panel(tiny_catalog, tmp_path / "dangling")
+    with pytest.raises(CatalogError, match="unknown product"):
+        parse_catalog(tmp_path / "dangling")
+    assert gc.isenabled()
+
+
+def test_collector_disabled_by_caller_stays_disabled(tiny_catalog, tmp_path):
+    write_catalog(tiny_catalog, tmp_path / "good")
+    _dangling_panel(tiny_catalog, tmp_path / "dangling")
+    gc.disable()
+    try:
+        parse_catalog(tmp_path / "good")
+        assert not gc.isenabled()
+        with pytest.raises(CatalogError, match="unknown product"):
+            parse_catalog(tmp_path / "dangling")
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
