@@ -28,11 +28,14 @@ recorded per spec with a reason; they never abort the run.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -248,14 +251,18 @@ def matrix_counts(matrix: MatrixConfig, n_product_bases: int,
 _WORKER: dict = {}
 
 
-def _init_worker(panel: Panel, params: LearnerParams, global_seed: int) -> None:
+def _init_worker(panel: Panel, params: LearnerParams, global_seed: int,
+                 store_lock: int | None = None) -> None:
+    if store_lock is not None:  # workers can outlive a killed run; only it holds the lock
+        os.close(store_lock)
     _WORKER["panel"] = panel
     _WORKER["params"] = params
     _WORKER["global_seed"] = global_seed
 
 
-def _execute_spec(spec: ExperimentSpec) -> tuple[str, str, str]:
-    """Run one experiment; returns (spec_id, status, payload)."""
+def _execute_spec(spec: ExperimentSpec) -> tuple[str, str]:
+    """Run one experiment; returns (status, payload), where the payload is
+    the last five columns of its log row, ``error`` through ``folds``."""
     seed = spec_seed(_WORKER["global_seed"], spec.spec_id)
     try:
         panel = _WORKER["panel"]
@@ -265,14 +272,13 @@ def _execute_spec(spec: ExperimentSpec) -> tuple[str, str, str]:
                             spec.k, seed)
     except Exception as exc:  # recorded, never fatal to the run
         reason = f"{type(exc).__name__}: {exc}".replace("\t", " ").replace("\n", " ")
-        return spec.spec_id, "error", reason
+        return "error", f"{reason}\t\t\t\t"
     folds = "|".join(
         f"{f.confusion.tp}:{f.confusion.fp}:{f.confusion.tn}:{f.confusion.fn}"
         f":{f.precision!r}:{f.recall!r}:{f.f1!r}"
         for f in cv.folds)
-    payload = "\t".join((repr(cv.mean_precision), repr(cv.mean_recall),
-                         repr(cv.mean_f1), folds))
-    return spec.spec_id, "ok", payload
+    return "ok", "\t".join(("", repr(cv.mean_precision), repr(cv.mean_recall),
+                            repr(cv.mean_f1), folds))
 
 
 def _row_head(spec: ExperimentSpec, seed: int) -> str:
@@ -281,13 +287,6 @@ def _row_head(spec: ExperimentSpec, seed: int) -> str:
         spec.spec_id, spec.model_kind, spec.base.kind.value, spec.base.base_id,
         spec.config.kind.value, "1" if spec.config.include_pi_feature else "0",
         spec.behavior.value, str(spec.category), str(spec.k), str(seed)))
-
-
-def _result_line(spec: ExperimentSpec, seed: int, status: str, payload: str) -> str:
-    head = _row_head(spec, seed)
-    if status == "ok":
-        return f"{head}\tok\t\t{payload}\n"
-    return f"{head}\terror\t{payload}\t\t\t\t\n"
 
 
 def _spec_counts(matrix: MatrixConfig, specs: list[ExperimentSpec]) -> dict:
@@ -309,98 +308,57 @@ def run_matrix(catalog: Catalog, matrix: MatrixConfig, out_dir: str | Path,
     worker count and scheduling order never change its bytes. ``limit``
     stops after that many results (for smoke runs and resumability tests);
     ``resume`` continues an interrupted store after verifying that the
-    catalog fingerprint, matrix and seed all match the manifest.
+    catalog fingerprint, matrix and seed all match the manifest. One run at
+    a time may write a store; a second one raises ``StoreError``.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results_path = out_dir / RESULTS_FILE
-    specs_path = out_dir / SPECS_FILE
-    manifest_path = out_dir / MANIFEST_FILE
-
     if exposure is None:
         exposure = compute_exposure(list(catalog.viewing), list(catalog.broadcasts))
     specs = enumerate_experiments(catalog, matrix)
-    seeds = {spec.spec_id: spec_seed(global_seed, spec.spec_id) for spec in specs}
-    fingerprint = catalog.fingerprint()
-
-    specs_text = "".join(["\t".join(_SPEC_COLUMNS) + "\n"]
-                         + [_row_head(spec, seeds[spec.spec_id]) + "\n" for spec in specs])
-    identity = {"global_seed": global_seed, "fingerprint": fingerprint,
+    heads = [_row_head(spec, spec_seed(global_seed, spec.spec_id)) for spec in specs]
+    identity = {"global_seed": global_seed, "fingerprint": catalog.fingerprint(),
                 "matrix": matrix.to_dict(), "spec_count": len(specs)}
-    if resume:
-        manifest = _load_manifest(manifest_path)
-        if manifest["fingerprint"] != fingerprint:
-            raise StoreError("catalog fingerprint does not match the manifest")
-        if manifest["matrix"] != identity["matrix"] or manifest["global_seed"] != global_seed:
-            raise StoreError("matrix configuration or seed does not match the manifest")
-        if not specs_path.exists() or specs_path.read_bytes() != specs_text.encode("utf-8"):
-            raise StoreError(f"{specs_path} does not match the enumeration")
-        if not results_path.exists():  # killed between manifest and log
-            _write_atomic(results_path, "\t".join(_RESULT_COLUMNS) + "\n")
-        executed = {row["spec_id"] for row in _read_result_rows(results_path)}
-        remaining = [spec for spec in specs if spec.spec_id not in executed]
-        # Drop a torn final line so that appends start on a fresh row.
-        os.truncate(results_path, results_path.read_bytes().rfind(b"\n") + 1)
-    else:
-        if results_path.exists():
-            raise StoreError(f"{results_path} already exists; use resume")
-        # The log is created last: once it exists, the store can be resumed.
-        _write_atomic(specs_path, specs_text)
-        _write_atomic(manifest_path, json.dumps(identity, indent=1) + "\n")
-        _write_atomic(results_path, "\t".join(_RESULT_COLUMNS) + "\n")
-        executed = set()
-        remaining = specs
 
-    if limit is not None:
-        remaining = remaining[:limit]
-
-    started = time.time()
-    done = len(executed)
-    total = len(specs)
-    counts = _spec_counts(matrix, specs)
-    panel = Panel.build(catalog, exposure)
-
-    with results_path.open("a", encoding="utf-8") as sink:
-        def commit(spec: ExperimentSpec, status: str, payload: str) -> None:
-            nonlocal done
-            sink.write(_result_line(spec, seeds[spec.spec_id], status, payload))
-            sink.flush()
-            done += 1
-            if progress is not None:
-                progress(done, total, spec.spec_id, status)
-
+    with ExitStack() as stack:
+        lock = os.open(out_dir, os.O_RDONLY)
+        stack.callback(os.close, lock)
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise StoreError(f"{out_dir} is being written by another run") from None
+        done = _open_store(out_dir, identity, heads, resume)
+        remaining = specs[done:] if limit is None else specs[done:done + limit]
+        started = time.time()
+        panel = Panel.build(catalog, exposure)
+        sink = stack.enter_context((out_dir / RESULTS_FILE).open("a", encoding="utf-8"))
         if workers <= 1 or len(remaining) <= 1:
             _init_worker(panel, matrix.learner_params, global_seed)
-            for spec in remaining:
-                _, status, payload = _execute_spec(spec)
-                commit(spec, status, payload)
+            outcomes = map(_execute_spec, remaining)
         else:
             chunk = max(1, min(32, len(remaining) // (workers * 4) or 1))
-            with ProcessPoolExecutor(
-                    max_workers=workers, initializer=_init_worker,
-                    initargs=(panel, matrix.learner_params, global_seed)) as pool:
-                # map() yields in submission order, which keeps the log
-                # bytes independent of completion order.
-                for spec, (_, status, payload) in zip(
-                        remaining, pool.map(_execute_spec, remaining, chunksize=chunk)):
-                    commit(spec, status, payload)
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_worker,
+                initargs=(panel, matrix.learner_params, global_seed, lock)))
+            # map() yields in submission order, which keeps the log bytes
+            # independent of completion order.
+            outcomes = pool.map(_execute_spec, remaining, chunksize=chunk)
+        for index, (status, payload) in enumerate(outcomes, start=done):
+            sink.write(f"{heads[index]}\t{status}\t{payload}\n")
+            sink.flush()
+            if progress is not None:
+                progress(index + 1, len(specs), specs[index].spec_id, status)
 
-    by_model: dict[str, int] = {}
-    by_base_kind: dict[str, int] = {}
-    for spec in specs:
-        by_model[spec.model_kind] = by_model.get(spec.model_kind, 0) + 1
-        kind = spec.base.kind.value
-        by_base_kind[kind] = by_base_kind.get(kind, 0) + 1
-    manifest = {
-        **identity,
-        "counts": counts,
-        "counts_by_model": by_model,
-        "counts_by_base_kind": by_base_kind,
-        "executed": done,
-        "workers": workers,
-        "wall_seconds": round(time.time() - started, 3),
-    }
-    _write_atomic(manifest_path, json.dumps(manifest, indent=1) + "\n")
+        manifest = {
+            **identity,
+            "counts": _spec_counts(matrix, specs),
+            "counts_by_model": dict(Counter(spec.model_kind for spec in specs)),
+            "counts_by_base_kind": dict(Counter(spec.base.kind.value for spec in specs)),
+            "executed": done + len(remaining),
+            "workers": workers,
+            "wall_seconds": round(time.time() - started, 3),
+        }
+        _write_atomic(out_dir / MANIFEST_FILE, json.dumps(manifest, indent=1) + "\n")
     return manifest
 
 
@@ -415,27 +373,71 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _load_manifest(path: Path) -> dict:
-    if not path.exists():
-        raise StoreError(f"missing manifest {path}")
-    return json.loads(path.read_text(encoding="utf-8"))
+def _open_store(out_dir: Path, identity: dict, heads: list[str], resume: bool) -> int:
+    """Create or reopen the store in ``out_dir``; return its committed row count.
+
+    Rows are committed in enumeration order, so the count n says that
+    exactly the first n specs have run.
+    """
+    results_path = out_dir / RESULTS_FILE
+    specs_path = out_dir / SPECS_FILE
+    manifest_path = out_dir / MANIFEST_FILE
+    specs_text = "".join(["\t".join(_SPEC_COLUMNS) + "\n"] + [head + "\n" for head in heads])
+    if resume:
+        if not manifest_path.exists():
+            raise StoreError(f"missing manifest {manifest_path}")
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        if manifest["fingerprint"] != identity["fingerprint"]:
+            raise StoreError("catalog fingerprint does not match the manifest")
+        if (manifest["matrix"] != identity["matrix"]
+                or manifest["global_seed"] != identity["global_seed"]):
+            raise StoreError("matrix configuration or seed does not match the manifest")
+        if not specs_path.exists() or specs_path.read_bytes() != specs_text.encode("utf-8"):
+            raise StoreError(f"{specs_path} does not match the enumeration")
+    else:
+        if results_path.exists():
+            raise StoreError(f"{results_path} already exists; use resume")
+        _write_atomic(specs_path, specs_text)
+        _write_atomic(manifest_path, json.dumps(identity, indent=1) + "\n")
+    # The log is created last: once it exists, the store can be resumed.
+    if not results_path.exists():
+        _write_atomic(results_path, "\t".join(_RESULT_COLUMNS) + "\n")
+    rows, end = _read_log(results_path, heads)
+    os.truncate(results_path, end)  # appends start on a fresh row
+    return len(rows)
 
 
-def _read_result_rows(path: Path) -> list[dict]:
+def _read_log(path: Path, heads: Sequence[str]) -> tuple[list[dict], int]:
+    """The rows of a results log and the byte length of its complete lines.
+
+    Row k must open with ``heads[k]``, the identity columns of spec k, so
+    the log is a prefix of the enumeration. A partial final line is an
+    interrupted append; it is not a row.
+    """
     if not path.exists():
         raise StoreError(f"missing results log {path}")
     data = path.read_bytes()
-    # A partial final line is an interrupted append; it is not a row.
-    lines = data[:data.rfind(b"\n") + 1].decode("utf-8").splitlines()
+    end = data.rfind(b"\n") + 1
+    try:
+        lines = data[:end].decode("utf-8").split("\n")[:-1]
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise StoreError(f"{path}:{line_no}: not UTF-8") from None
     if not lines or tuple(lines[0].split("\t")) != _RESULT_COLUMNS:
         raise StoreError(f"{path}: bad or missing header")
     rows = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, (line, head) in enumerate(zip(lines[1:], heads), start=2):
         fields = line.split("\t")
         if len(fields) != len(_RESULT_COLUMNS):
             raise StoreError(f"{path}:{line_no}: expected {len(_RESULT_COLUMNS)} fields")
+        if not line.startswith(head + "\t"):
+            raise StoreError(f"{path}:{line_no}: row does not match line "
+                             f"{line_no} of {SPECS_FILE}")
         rows.append(dict(zip(_RESULT_COLUMNS, fields)))
-    return rows
+    if len(lines) - 1 > len(heads):
+        raise StoreError(f"{path}:{len(heads) + 2}: row beyond the "
+                         f"{len(heads)} specs of {SPECS_FILE}")
+    return rows, end
 
 
 def _spec_from_row(row: dict) -> ExperimentSpec:
@@ -451,11 +453,19 @@ def _spec_from_row(row: dict) -> ExperimentSpec:
 
 
 def load_score_records(store_dir: str | Path) -> tuple[list[ScoreRecord], list[dict]]:
-    """Parse the results log back into ScoreRecords plus failure rows."""
+    """Parse the results log back into ScoreRecords plus failure rows.
+
+    The log must be a prefix of the store's ``specs.tsv``, row for row.
+    """
     store_dir = Path(store_dir)
+    specs_path = store_dir / SPECS_FILE
+    if not specs_path.exists():
+        raise StoreError(f"missing enumeration index {specs_path}")
+    heads = specs_path.read_bytes().decode("utf-8").split("\n")[1:-1]
+    rows, _ = _read_log(store_dir / RESULTS_FILE, heads)
     records: list[ScoreRecord] = []
     failures: list[dict] = []
-    for row in _read_result_rows(store_dir / RESULTS_FILE):
+    for row in rows:
         if row["status"] != "ok":
             failures.append(row)
             continue

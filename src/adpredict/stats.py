@@ -194,6 +194,13 @@ _CONFIG_COLUMNS = tuple(kind.value for kind in (
 
 _BEHAVIOR_ORDER = (Behavior.ACTUAL_PURCHASE, Behavior.PURCHASE_INTENTION)
 
+_BASE_KIND_ORDER = (BaseKind.PRODUCT_BASED.value, BaseKind.USER_BASED.value)
+
+
+def _report_order(model_kind: str, base_kind: str, *rest) -> tuple:
+    """Sort key of report rows: model family, then product before user bases."""
+    return (MODEL_KINDS.index(model_kind), _BASE_KIND_ORDER.index(base_kind), *rest)
+
 
 def _mean_or_none(values: list[float]) -> float | None:
     return sum(values) / len(values) if values else None
@@ -319,11 +326,9 @@ def hypothesis_suite(records: Sequence["ScoreRecord"],
         return {base_id: sum(values) / len(values)
                 for base_id, values in per_base.items()}
 
-    model_rank = {m: i for i, m in enumerate(MODEL_KINDS)}
-    base_rank = {BaseKind.PRODUCT_BASED.value: 0, BaseKind.USER_BASED.value: 1}
     behavior_rank = {b.value: i for i, b in enumerate(_BEHAVIOR_ORDER)}
-    ordered_span = sorted(span, key=lambda s: (model_rank[s[0]], base_rank[s[1]],
-                                               behavior_rank[s[2]], s[3]))
+    ordered_span = sorted(span, key=lambda s: _report_order(s[0], s[1],
+                                                            behavior_rank[s[2]], s[3]))
 
     reports: list[TTestReport] = []
     gaps: list[str] = []
@@ -391,21 +396,24 @@ def render_average_table(table: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _present_average_tables(records: Sequence["ScoreRecord"],
+                            general_average: str) -> list[dict]:
+    """``average_table`` for each (model, base) pair present, in report order."""
+    present = {(r.spec.model_kind, r.spec.base.kind.value) for r in records}
+    return [average_table(records, model, BaseKind(base_kind), general_average)
+            for model, base_kind in sorted(present, key=lambda pair: _report_order(*pair))]
+
+
 def write_average_tables(records: Sequence["ScoreRecord"], out_dir: str | Path,
                          general_average: str = "category_means") -> list[Path]:
     """One TSV per (model, base) pair present in the records."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    present = {(r.spec.model_kind, r.spec.base.kind) for r in records}
     paths = []
-    for model in MODEL_KINDS:
-        for base_kind in (BaseKind.PRODUCT_BASED, BaseKind.USER_BASED):
-            if (model, base_kind) not in present:
-                continue
-            table = average_table(records, model, base_kind, general_average)
-            path = out_dir / f"averages_{model}_{base_kind.value}.tsv"
-            path.write_text(render_average_table(table), encoding="utf-8")
-            paths.append(path)
+    for table in _present_average_tables(records, general_average):
+        path = out_dir / f"averages_{table['model']}_{table['base']}.tsv"
+        path.write_text(render_average_table(table), encoding="utf-8")
+        paths.append(path)
     return paths
 
 
@@ -417,11 +425,8 @@ def render_pvalue_table(reports: Sequence[TTestReport], hypothesis: str,
     for r in reports:
         if r.hypothesis == hypothesis and r.behavior == behavior:
             rows.setdefault((r.model_kind, r.base_kind, r.variant), {})[r.category] = r.p_value
-    model_rank = {m: i for i, m in enumerate(MODEL_KINDS)}
-    base_rank = {BaseKind.PRODUCT_BASED.value: 0, BaseKind.USER_BASED.value: 1}
     variant_rank = {v[0]: i for i, v in enumerate(VIEWING_VARIANTS)}
-    for key in sorted(rows, key=lambda k: (model_rank[k[0]], base_rank[k[1]],
-                                           variant_rank[k[2]])):
+    for key in sorted(rows, key=lambda k: _report_order(k[0], k[1], variant_rank[k[2]])):
         model, base_kind, variant = key
         cells = [_format_cell(rows[key].get(c)) for c in CATEGORIES]
         lines.append("\t".join([model, base_kind, variant, *cells]))
@@ -433,12 +438,11 @@ def write_pvalue_tables(reports: Sequence[TTestReport],
     """One TSV per (hypothesis, behavior) pair: the six p-value tables."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    present = {(r.hypothesis, r.behavior) for r in reports}
     paths = []
     for hypothesis in HYPOTHESES:
         for behavior in _BEHAVIOR_ORDER:
-            relevant = [r for r in reports if r.hypothesis == hypothesis
-                        and r.behavior == behavior.value]
-            if not relevant:
+            if (hypothesis, behavior.value) not in present:
                 continue
             path = out_dir / f"pvalues_{hypothesis}_{behavior.value}.tsv"
             path.write_text(render_pvalue_table(reports, hypothesis, behavior.value),
@@ -458,13 +462,8 @@ def write_report_document(records: Sequence["ScoreRecord"],
     def jsonable(value: float) -> float | str:
         return "nan" if isinstance(value, float) and math.isnan(value) else value
 
-    present = {(r.spec.model_kind, r.spec.base.kind) for r in records}
-    tables = [average_table(records, model, base_kind, general_average)
-              for model in MODEL_KINDS
-              for base_kind in (BaseKind.PRODUCT_BASED, BaseKind.USER_BASED)
-              if (model, base_kind) in present]
     doc = {
-        "average_tables": tables,
+        "average_tables": _present_average_tables(records, general_average),
         "t_tests": [{
             "hypothesis": r.hypothesis, "model": r.model_kind,
             "base": r.base_kind, "behavior": r.behavior, "variant": r.variant,

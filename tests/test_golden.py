@@ -22,12 +22,24 @@ STORE_DIGEST = "811ebe4b7345c7b86a3f41befd4236e90dbf4933a12854b97203c228bc4c4b4d
 EXPOSURE_DIGEST = "9728586f0a1bf4276d1dd41c635ff3f1e193a27bd6bd7be92a223fe8cdc6d178"
 # The five table files of GOLDEN_PANEL, in TABLE_FILENAMES order.
 PANEL_FILES_DIGEST = "c073d0c9c21f64d7c3440859c2f900157d2605bfcbbc1a31b4032f07e3878d4c"
+# The report directory of a 182-spec logreg store, as written by ``report``
+# with its defaults and with ``--paired --general-average experiment_means``.
+REPORT_DIGEST = "c1f27cb94095cfe2195b7e4d6fd5e11936fd5e098bf64eb162fa1a7bded6be5b"
+PAIRED_REPORT_DIGEST = "29094cbd08423ede795670401d18cdc75ea1bd221965fe4d41c6bb8c67911ee0"
 
 
 def _sha256(*paths) -> str:
     digest = hashlib.sha256()
     for path in paths:
         digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def _tree_sha256(directory) -> str:
+    """sha256 over the sorted file names and bytes of ``directory``."""
+    digest = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
     return digest.hexdigest()
 
 
@@ -62,3 +74,19 @@ def test_golden_panel_files(tmp_path):
     write_catalog(generate_panel(GOLDEN_PANEL), tmp_path)
     assert _sha256(*(tmp_path / name for name in TABLE_FILENAMES.values())) \
         == PANEL_FILES_DIGEST
+
+
+def test_golden_report(tmp_path):
+    # Four product bases and three user bases: every p-value table is filled.
+    catalog = generate_panel(GOLDEN_PANEL)
+    matrix = MatrixConfig(models=("logreg",), users=catalog.user_ids[:3],
+                          categories=(1, 4), k=3)
+    store = tmp_path / "store"
+    assert run_matrix(catalog, matrix, store, global_seed=3)["spec_count"] == 182
+    for name, flags, pinned in (
+            ("default", [], REPORT_DIGEST),
+            ("paired", ["--paired", "--general-average", "experiment_means"],
+             PAIRED_REPORT_DIGEST)):
+        out = tmp_path / name
+        assert main(["report", "--store", str(store), "--out-dir", str(out), *flags]) == 0
+        assert _tree_sha256(out) == pinned

@@ -1,3 +1,5 @@
+import contextlib
+import fcntl
 import json
 import os
 import signal
@@ -198,6 +200,61 @@ def test_resume_rejects_edited_specs_index(small_catalog, tmp_path):
                    resume=True)
 
 
+@pytest.mark.parametrize("case", ["duplicated row", "swapped rows", "foreign seed",
+                                  "extra row", "not UTF-8"])
+def test_log_must_be_a_prefix_of_the_enumeration(small_catalog, tmp_path, case):
+    store = tmp_path / "s"
+    run_matrix(small_catalog, SMALL_MATRIX, store, global_seed=4,
+               limit=None if case == "extra row" else 5)
+    log = store / RESULTS_FILE
+    lines = log.read_bytes().splitlines(keepends=True)  # lines[i] is line i + 1
+    if case == "duplicated row":  # the fourth and fifth rows, appended again
+        lines += lines[4:6]
+        bad_line = 7
+    elif case == "swapped rows":
+        lines[2], lines[3] = lines[3], lines[2]
+        bad_line = 3
+    elif case == "foreign seed":  # the sixth row, as global seed 5 writes it
+        run_matrix(small_catalog, SMALL_MATRIX, tmp_path / "other", global_seed=5, limit=6)
+        lines.append((tmp_path / "other" / RESULTS_FILE).read_bytes().splitlines(
+            keepends=True)[6])
+        bad_line = 7
+    elif case == "extra row":  # a complete log plus one more row
+        lines.append(lines[-1])
+        bad_line = len(lines)
+    else:  # 0xff never occurs in UTF-8
+        lines[4] = b"\xff" + lines[4]
+        bad_line = 5
+    log.write_bytes(b"".join(lines))
+    with pytest.raises(StoreError, match=f"{RESULTS_FILE}:{bad_line}:"):
+        load_score_records(store)
+    with pytest.raises(StoreError, match=f"{RESULTS_FILE}:{bad_line}:"):
+        run_matrix(small_catalog, SMALL_MATRIX, store, global_seed=4, resume=True)
+
+
+def test_load_requires_the_specs_index(small_catalog, tmp_path):
+    run_matrix(small_catalog, SMALL_MATRIX, tmp_path / "s", global_seed=4, limit=3)
+    (tmp_path / "s" / SPECS_FILE).unlink()
+    with pytest.raises(StoreError, match=SPECS_FILE):
+        load_score_records(tmp_path / "s")
+
+
+def test_second_writer_is_refused(small_catalog, tmp_path):
+    store = tmp_path / "s"
+    store.mkdir()
+    holder = os.open(store, os.O_RDONLY)
+    try:
+        fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        with pytest.raises(StoreError, match="another run") as refused:
+            run_matrix(small_catalog, SMALL_MATRIX, store, global_seed=4, limit=3)
+        assert str(store) in str(refused.value)
+        assert not any(store.iterdir())
+    finally:
+        os.close(holder)
+    assert run_matrix(small_catalog, SMALL_MATRIX, store, global_seed=4,
+                      limit=3)["executed"] == 3
+
+
 KILL_SYNTH = {"n_users": 12, "n_products": 3, "n_advert_matched": 2, "seed": 5,
               "broadcasts_per_day": 3}
 KILL_MATRIX = {"models": ["logreg"], "configs": ["view_weekday", "demographics"],
@@ -246,6 +303,34 @@ def test_sigkill_then_resume_matches_uninterrupted(tmp_path):
     run_matrix(catalog, matrix, store, global_seed=4, resume=True)
     assert ((store / RESULTS_FILE).read_bytes()
             == (tmp_path / "full" / RESULTS_FILE).read_bytes())
+
+
+def test_orphaned_workers_do_not_hold_the_store(tmp_path):
+    # SIGKILL reaches only the run's own process; its pool workers outlive it.
+    store = tmp_path / "store"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"synth": KILL_SYNTH, "out_dir": str(store),
+                                  "global_seed": 4, "workers": 2, "matrix": KILL_MATRIX}))
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "adpredict.cli", "run", "--config", str(config),
+         "--progress"], stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), start_new_session=True)
+    catalog = generate_panel(GenConfig(**KILL_SYNTH))
+    matrix = MatrixConfig.from_dict(KILL_MATRIX)
+    try:
+        for line in proc.stdout:
+            if line.startswith('{"done": 40,'):
+                os.kill(proc.pid, signal.SIGKILL)
+                break
+        proc.stdout.close()
+        assert proc.wait() == -signal.SIGKILL
+        run_matrix(catalog, matrix, store, global_seed=4, resume=True)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    run_matrix(catalog, matrix, tmp_path / "full", global_seed=4)
+    assert (store / RESULTS_FILE).read_bytes() == (tmp_path / "full" / RESULTS_FILE).read_bytes()
 
 
 def test_resume_rejects_changed_catalog(small_catalog, tmp_path):
