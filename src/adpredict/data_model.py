@@ -392,11 +392,13 @@ def _parse_survey(path: Path) -> list[SurveyResponse]:
 def _collector_paused():
     """Pause automatic cyclic garbage collection inside the decorated call.
 
-    Records are ``NamedTuple``s, which CPython keeps tracked, so building
-    110k of them starts hundreds of collections that each walk every live
-    record. They hold no reference cycles, so reference counting frees them
-    on time without the collector. On exit the collector is enabled again
-    only if it was enabled on entry.
+    For calls that build many tracked objects without reference cycles:
+    panel records here and in ``synthgen.generate_panel``, score records in
+    ``runner.load_score_records``. Records are ``NamedTuple``s, which
+    CPython keeps tracked, so building 110k of them starts hundreds of
+    collections that each walk every live record. Reference counting frees
+    objects without cycles on time without the collector. On exit the
+    collector is enabled again only if it was enabled on entry.
     """
     was_enabled = gc.isenabled()
     gc.disable()

@@ -160,28 +160,41 @@ def paired_t_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> Welch
 # Aggregation into the six average tables.
 # ---------------------------------------------------------------------------
 
-_GROUP_FIELDS = {
-    "model_kind": lambda r: r.spec.model_kind,
-    "base_kind": lambda r: r.spec.base.kind.value,
-    "base_id": lambda r: r.spec.base.base_id,
-    "input_config": lambda r: r.spec.config.kind.value,
-    "behavior": lambda r: r.spec.behavior.value,
-    "category": lambda r: r.spec.category,
-}
+# Positions in the rows of ``_score_rows``.
+_GROUP_FIELDS = {"model_kind": 0, "base_kind": 1, "base_id": 2,
+                 "input_config": 3, "behavior": 4, "category": 5}
+_F1 = 6
+
+
+def _score_rows(records: Iterable["ScoreRecord"]) -> list[tuple]:
+    """(model, base kind, base id, input config, behavior, category, mean F1)
+    of each record, enum values read once. The average tables and the
+    hypothesis suite group these rows, not the records."""
+    rows = []
+    for record in records:
+        spec = record.spec
+        base = spec.base
+        rows.append((spec.model_kind, base.kind.value, base.base_id,
+                     spec.config.kind.value, spec.behavior.value, spec.category,
+                     record.cv.mean_f1))
+    return rows
+
+
+def _aggregate_rows(rows: Iterable[tuple], group_by: Sequence[str]) -> dict[tuple, float]:
+    positions = [_GROUP_FIELDS[name] for name in group_by]
+    sums: dict[tuple, list[float]] = {}
+    for row in rows:
+        bucket = sums.setdefault(tuple([row[i] for i in positions]), [0.0, 0])
+        bucket[0] += row[_F1]
+        bucket[1] += 1
+    return {key: total / count for key, (total, count) in sums.items()}
 
 
 def aggregate(records: Iterable["ScoreRecord"],
               group_by: Sequence[str]) -> dict[tuple, float]:
     """Mean of cross-validated mean F1 within each group; empty groups are
     simply absent from the result."""
-    extractors = [_GROUP_FIELDS[name] for name in group_by]
-    sums: dict[tuple, list[float]] = {}
-    for record in records:
-        key = tuple(extract(record) for extract in extractors)
-        bucket = sums.setdefault(key, [0.0, 0])
-        bucket[0] += record.cv.mean_f1
-        bucket[1] += 1
-    return {key: total / count for key, (total, count) in sums.items()}
+    return _aggregate_rows(_score_rows(records), group_by)
 
 
 _CONFIG_COLUMNS = tuple(kind.value for kind in (
@@ -218,12 +231,18 @@ def average_table(records: Iterable["ScoreRecord"], model_kind: str,
     averaging over the underlying experiments instead. A final row averages
     the two behaviors' General Average cells.
     """
+    selected = [row for row in _score_rows(records)
+                if row[0] == model_kind and row[1] == base_kind.value]
+    return _average_table(selected, model_kind, base_kind.value, general_average)
+
+
+def _average_table(rows: list[tuple], model_kind: str, base_kind: str,
+                   general_average: str) -> dict:
+    """``average_table`` over the ``_score_rows`` of one (model, base) pair."""
     if general_average not in ("category_means", "experiment_means"):
         raise ValueError(f"unknown general_average mode {general_average!r}")
-    selected = [r for r in records
-                if r.spec.model_kind == model_kind and r.spec.base.kind is base_kind]
-    cell_means = aggregate(selected, ("behavior", "category", "input_config"))
-    experiment_means = aggregate(selected, ("behavior", "input_config"))
+    cell_means = _aggregate_rows(rows, ("behavior", "category", "input_config"))
+    experiment_means = _aggregate_rows(rows, ("behavior", "input_config"))
 
     behaviors: dict[str, dict] = {}
     for behavior in _BEHAVIOR_ORDER:
@@ -254,7 +273,7 @@ def average_table(records: Iterable["ScoreRecord"], model_kind: str,
                   if behaviors[b.value]["general_average"][config] is not None]
         both[config] = _mean_or_none(values)
 
-    return {"model": model_kind, "base": base_kind.value,
+    return {"model": model_kind, "base": base_kind,
             "behaviors": behaviors, "both_targets": both}
 
 
@@ -310,17 +329,13 @@ def hypothesis_suite(records: Sequence["ScoreRecord"],
     """
     samples: dict[tuple, dict[str, list[float]]] = {}
     span: set[tuple] = set()
-    for record in records:
-        spec = record.spec
-        key = (spec.model_kind, spec.base.kind.value, spec.behavior.value,
-               spec.category, spec.config.kind)
-        samples.setdefault(key, {}).setdefault(spec.base.base_id, []).append(
-            record.cv.mean_f1)
-        span.add((spec.model_kind, spec.base.kind.value, spec.behavior.value,
-                  spec.category))
+    for model, base_kind, base_id, config, behavior, category, f1 in _score_rows(records):
+        samples.setdefault((model, base_kind, behavior, category, config), {}).setdefault(
+            base_id, []).append(f1)
+        span.add((model, base_kind, behavior, category))
 
     def sample_map(model, base_kind, behavior, category, kind):
-        per_base = samples.get((model, base_kind, behavior, category, kind))
+        per_base = samples.get((model, base_kind, behavior, category, kind.value))
         if not per_base:
             return None
         return {base_id: sum(values) / len(values)
@@ -399,9 +414,11 @@ def render_average_table(table: dict) -> str:
 def _present_average_tables(records: Sequence["ScoreRecord"],
                             general_average: str) -> list[dict]:
     """``average_table`` for each (model, base) pair present, in report order."""
-    present = {(r.spec.model_kind, r.spec.base.kind.value) for r in records}
-    return [average_table(records, model, BaseKind(base_kind), general_average)
-            for model, base_kind in sorted(present, key=lambda pair: _report_order(*pair))]
+    groups: dict[tuple[str, str], list[tuple]] = {}
+    for row in _score_rows(records):
+        groups.setdefault(row[:2], []).append(row)
+    return [_average_table(groups[pair], *pair, general_average)
+            for pair in sorted(groups, key=lambda pair: _report_order(*pair))]
 
 
 def write_average_tables(records: Sequence["ScoreRecord"], out_dir: str | Path,

@@ -41,7 +41,8 @@ import numpy as np
 
 from .data_model import (AGE_BRACKETS, INCOME_BRACKETS, MARITAL_STATUSES,
                          PARENTAL_STATUSES, SEXES, AdBroadcast, Catalog,
-                         DemographicProfile, SurveyResponse, ViewingRecord)
+                         DemographicProfile, SurveyResponse, ViewingRecord,
+                         _collector_paused)
 from .exposure import compute_exposure
 from .features import DEMOGRAPHIC_DIMS, encode_demographics
 from .learners import sigmoid
@@ -269,8 +270,13 @@ def _scored_structure(config: GenConfig):
             matched_mask)
 
 
+@_collector_paused()
 def generate_panel(config: GenConfig) -> Catalog:
-    """Generate a complete catalog; deterministic for a given seed."""
+    """Generate a complete catalog; deterministic for a given seed.
+
+    Automatic cyclic garbage collection is paused while the records are
+    built, as in ``data_model.parse_catalog``.
+    """
     rng, (users, product_ids, broadcasts, viewing), rows, scores, matched_mask = \
         _scored_structure(config)
 

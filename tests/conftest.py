@@ -1,3 +1,4 @@
+import gc
 import sys
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -13,6 +14,9 @@ from adpredict.data_model import (AGE_BRACKETS, INCOME_BRACKETS,  # noqa: E402
                                   MARITAL_STATUSES, PARENTAL_STATUSES, SEXES,
                                   AdBroadcast, Catalog, DemographicProfile,
                                   SurveyResponse, ViewingRecord)
+from adpredict import runner  # noqa: E402
+from adpredict.features import InputKind  # noqa: E402
+from adpredict.synthgen import GenConfig, generate_panel  # noqa: E402
 
 
 def random_catalog(rng: np.random.Generator, n_users=4, n_products=3,
@@ -83,3 +87,54 @@ def tiny_catalog() -> Catalog:
         AdBroadcast("p01", datetime(2017, 1, 23, 20, 30), 15, "ch1"),
     ]
     return Catalog.build(users, products, responses, viewing, broadcasts)
+
+
+@pytest.fixture
+def collections():
+    """For each cyclic collection that starts during the test, the code
+    objects of the frames that were running when it started."""
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            codes, frame = set(), sys._getframe(1)
+            while frame is not None:
+                codes.add(frame.f_code)
+                frame = frame.f_back
+            started.append(codes)
+
+    gc.callbacks.append(record)
+    try:
+        yield started
+    finally:
+        gc.callbacks.remove(record)
+
+
+ORACLE_SEED = 6
+
+
+@pytest.fixture(scope="session")
+def oracle_store(tmp_path_factory) -> Path:
+    """A small complete store with all three models, product and user bases,
+    both intent-feature states and one failure row."""
+    catalog = generate_panel(GenConfig(n_users=10, n_products=3, n_advert_matched=2,
+                                       seed=9, broadcasts_per_day=3))
+    matrix = runner.MatrixConfig(
+        users=catalog.user_ids[:3],
+        configs=(InputKind.VIEW_WEEKDAY, InputKind.DEMOGRAPHICS,
+                 InputKind.VIEW_WEEKDAY_DEMO),
+        categories=(1,), k=2)
+    specs = runner.enumerate_experiments(catalog, matrix)
+    doomed = runner.spec_seed(ORACLE_SEED, specs[len(specs) // 2].spec_id)
+    cross_validate = runner.cross_validate
+
+    def fail_once(X, y, kind, params, k, seed):
+        if seed == doomed:
+            raise RuntimeError("planted failure")
+        return cross_validate(X, y, kind, params, k, seed)
+
+    store = tmp_path_factory.mktemp("oracle") / "store"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner, "cross_validate", fail_once)
+        runner.run_matrix(catalog, matrix, store, global_seed=ORACLE_SEED)
+    return store

@@ -8,8 +8,10 @@ import pytest
 
 from adpredict import runner
 from adpredict.cli import main
+from adpredict.data_model import parse_catalog
 from adpredict.features import BaseKind, InputConfig, InputKind, ModelBase
 from adpredict.targets import Behavior
+from test_runner import SCORE_FIELD_DEFECTS, break_score_fields
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -163,6 +165,18 @@ def test_report_gap_exit_code(panel_dir, tmp_path):
     result = run_cli("report", "--store", str(store), "--out-dir", str(reports))
     assert result.returncode == 5
     assert (reports / "report_gaps.txt").exists()
+
+
+@pytest.mark.parametrize("defect", SCORE_FIELD_DEFECTS)
+def test_report_refuses_unparsable_score_fields(panel_dir, tmp_path, defect):
+    store = tmp_path / "store"
+    runner.run_matrix(parse_catalog(panel_dir), runner.MatrixConfig.from_dict(MATRIX),
+                      store, global_seed=3, limit=5)
+    break_score_fields(store / runner.RESULTS_FILE, 4, defect)
+    result = run_cli("report", "--store", str(store), "--out-dir", str(tmp_path / "r"))
+    assert result.returncode == 2
+    assert f"{runner.RESULTS_FILE}:4: " in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_run_flag_conflict_warns_and_config_wins(panel_dir, tmp_path):

@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import sys
 from datetime import datetime
 
 import numpy as np
@@ -308,27 +307,6 @@ def test_sub_minute_start_rejected(tiny_catalog, table, start):
     with pytest.raises(CatalogError, match="is not a whole minute"):
         Catalog.build(tiny_catalog.users, tiny_catalog.products, tiny_catalog.responses,
                       events["viewing"], events["broadcasts"])
-
-
-@pytest.fixture
-def collections():
-    """For each cyclic collection that starts during the test, the code
-    objects of the frames that were running when it started."""
-    started = []
-
-    def record(phase, info):
-        if phase == "start":
-            codes, frame = set(), sys._getframe(1)
-            while frame is not None:
-                codes.add(frame.f_code)
-                frame = frame.f_back
-            started.append(codes)
-
-    gc.callbacks.append(record)
-    try:
-        yield started
-    finally:
-        gc.callbacks.remove(record)
 
 
 def test_parse_starts_no_collection(tmp_path, collections):

@@ -1,5 +1,6 @@
 import contextlib
 import fcntl
+import gc
 import json
 import os
 import signal
@@ -10,10 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adpredict.features import InputKind
+from adpredict.evaluation import Confusion, CvResult, FoldResult
+from adpredict.features import BaseKind, InputConfig, InputKind, ModelBase
 from adpredict.runner import (MANIFEST_FILE, MatrixConfig, RESULTS_FILE, RunnerError,
-                              SPECS_FILE, StoreError, enumerate_experiments, load_score_records,
-                              matrix_counts, run_matrix, spec_seed)
+                              SPECS_FILE, ExperimentSpec, ScoreRecord, StoreError,
+                              enumerate_experiments, load_score_records, matrix_counts,
+                              run_matrix, spec_seed)
 from adpredict.learners import LearnerParams
 from adpredict.synthgen import GenConfig, generate_panel
 from adpredict.targets import Behavior
@@ -230,6 +233,103 @@ def test_log_must_be_a_prefix_of_the_enumeration(small_catalog, tmp_path, case):
         load_score_records(store)
     with pytest.raises(StoreError, match=f"{RESULTS_FILE}:{bad_line}:"):
         run_matrix(small_catalog, SMALL_MATRIX, store, global_seed=4, resume=True)
+
+
+SCORE_FIELD_DEFECTS = ("mean_f1 not a number", "fold of 6 parts", "negative count",
+                       "empty folds")
+
+
+def break_score_fields(log: Path, line_no: int, defect: str) -> None:
+    """Rewrite the score fields of the ``ok`` row on line ``line_no`` of a
+    results log so that they no longer parse."""
+    lines = log.read_text(encoding="utf-8").split("\n")
+    fields = lines[line_no - 1].split("\t")
+    assert fields[10] == "ok"
+    folds = fields[15].split("|")
+    if defect == "mean_f1 not a number":
+        fields[14] = "x"
+    elif defect == "fold of 6 parts":
+        folds[1] = folds[1].rsplit(":", 1)[0]
+    elif defect == "negative count":
+        folds[0] = "-1" + folds[0][folds[0].index(":"):]
+    else:
+        folds = [""]
+    fields[15] = "|".join(folds)
+    lines[line_no - 1] = "\t".join(fields)
+    log.write_text("\n".join(lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize("defect", SCORE_FIELD_DEFECTS)
+def test_unparsable_score_fields_refuse_the_store(small_catalog, tmp_path, defect):
+    store = tmp_path / "s"
+    run_matrix(small_catalog, SMALL_MATRIX, store, global_seed=4, limit=5)
+    break_score_fields(store / RESULTS_FILE, 4, defect)
+    with pytest.raises(StoreError, match=f"{RESULTS_FILE}:4: "):
+        load_score_records(store)
+
+
+def _reference_spec_from_row(row: dict) -> ExperimentSpec:
+    return ExperimentSpec(
+        model_kind=row["model"],
+        base=ModelBase(BaseKind(row["base_kind"]), row["base_id"]),
+        config=InputConfig(InputKind(row["config_kind"]),
+                           include_pi_feature=row["pi_feature"] == "1"),
+        behavior=Behavior(row["behavior"]),
+        category=int(row["category"]),
+        k=int(row["k"]),
+    )
+
+
+def reference_load_score_records(store_dir: Path) -> tuple[list[ScoreRecord], list[dict]]:
+    """The dict-per-row loader that ``load_score_records`` replaced, kept as
+    its oracle; it reads well-formed stores only."""
+    header, *lines = (store_dir / RESULTS_FILE).read_text(encoding="utf-8").split("\n")[:-1]
+    rows = [dict(zip(header.split("\t"), line.split("\t"))) for line in lines]
+    records: list[ScoreRecord] = []
+    failures: list[dict] = []
+    for row in rows:
+        if row["status"] != "ok":
+            failures.append(row)
+            continue
+        folds = []
+        for index, blob in enumerate(row["folds"].split("|")):
+            tp, fp, tn, fn, precision, recall, f1 = blob.split(":")
+            folds.append(FoldResult(
+                fold_index=index,
+                confusion=Confusion(tp=int(tp), fp=int(fp), tn=int(tn), fn=int(fn)),
+                precision=float(precision), recall=float(recall), f1=float(f1)))
+        cv = CvResult(folds=tuple(folds),
+                      mean_precision=float(row["mean_precision"]),
+                      mean_recall=float(row["mean_recall"]),
+                      mean_f1=float(row["mean_f1"]))
+        records.append(ScoreRecord(spec=_reference_spec_from_row(row), cv=cv,
+                                   seed=int(row["seed"])))
+    return records, failures
+
+
+def test_load_matches_reference_loader(oracle_store):
+    records, failures = load_score_records(oracle_store)
+    expected_records, expected_failures = reference_load_score_records(oracle_store)
+    assert records == expected_records
+    assert failures == expected_failures
+    assert repr(records) == repr(expected_records)  # also tells -0.0 from 0.0
+    # The store covers what the loader distinguishes.
+    assert {r.spec.model_kind for r in records} == {"svm", "gbrt", "logreg"}
+    assert {r.spec.base.kind for r in records} == set(BaseKind)
+    assert {r.spec.config.include_pi_feature for r in records} == {False, True}
+    assert [f["status"] for f in failures] == ["error"]
+
+
+def test_load_starts_no_collection(oracle_store, collections):
+    body = getattr(load_score_records, "__wrapped__", load_score_records).__code__
+    gc.collect()
+    records, _ = load_score_records(oracle_store)
+    assert not [stack for stack in collections if body in stack]
+    assert len(records) * 10 > 700  # more new objects than the youngest threshold
+    assert gc.isenabled()
+    with pytest.raises(StoreError):
+        load_score_records(oracle_store / "missing")
+    assert gc.isenabled()
 
 
 def test_load_requires_the_specs_index(small_catalog, tmp_path):

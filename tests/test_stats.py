@@ -5,13 +5,15 @@ import pytest
 
 from adpredict.evaluation import Confusion, CvResult, FoldResult
 from adpredict.features import BaseKind, InputConfig, InputKind, ModelBase
-from adpredict.runner import ExperimentSpec, ScoreRecord
-from adpredict.stats import (aggregate, average_table, hypothesis_suite,
+from adpredict.runner import ExperimentSpec, ScoreRecord, load_score_records
+from adpredict.stats import (_present_average_tables, aggregate, average_table,
+                             hypothesis_suite,
                              paired_t_test, regularized_incomplete_beta,
                              render_average_table, render_pvalue_table,
                              student_t_two_sided_p, welch_t_test,
                              write_average_tables, write_pvalue_tables)
 from adpredict.targets import Behavior
+from test_runner import reference_load_score_records
 
 
 # ---------------------------------------------------------------------------
@@ -289,3 +291,91 @@ def test_write_average_tables_per_model_base(tmp_path):
     paths = write_average_tables(records, tmp_path)
     names = {p.name for p in paths}
     assert names == {"averages_svm_product.tsv", "averages_logreg_product.tsv"}
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the grouping code, on a store with every model and base kind.
+# ---------------------------------------------------------------------------
+
+_REFERENCE_GROUP_FIELDS = {
+    "model_kind": lambda r: r.spec.model_kind,
+    "base_kind": lambda r: r.spec.base.kind.value,
+    "base_id": lambda r: r.spec.base.base_id,
+    "input_config": lambda r: r.spec.config.kind.value,
+    "behavior": lambda r: r.spec.behavior.value,
+    "category": lambda r: r.spec.category,
+}
+
+
+def reference_aggregate(records, group_by):
+    """The record-at-a-time ``aggregate`` that the row extraction replaced."""
+    extractors = [_REFERENCE_GROUP_FIELDS[name] for name in group_by]
+    sums = {}
+    for record in records:
+        key = tuple(extract(record) for extract in extractors)
+        bucket = sums.setdefault(key, [0.0, 0])
+        bucket[0] += record.cv.mean_f1
+        bucket[1] += 1
+    return {key: total / count for key, (total, count) in sums.items()}
+
+
+def reference_samples(records):
+    """Per-base mean F1 of each (model, base kind, behavior, category,
+    configuration) group, grouped as ``hypothesis_suite`` did before."""
+    samples = {}
+    for record in records:
+        spec = record.spec
+        key = (spec.model_kind, spec.base.kind.value, spec.behavior.value,
+               spec.category, spec.config.kind.value)
+        samples.setdefault(key, {}).setdefault(spec.base.base_id, []).append(
+            record.cv.mean_f1)
+    return {key: {base_id: sum(values) / len(values) for base_id, values in per_base.items()}
+            for key, per_base in samples.items()}
+
+
+@pytest.mark.parametrize("group_by", [
+    ("behavior", "category", "input_config"),  # average_table cells
+    ("behavior", "input_config"),  # average_table experiment means
+    ("model_kind", "base_kind", "base_id", "input_config", "behavior", "category"),
+    ("category",),
+])
+def test_aggregate_matches_reference(oracle_store, group_by):
+    records, _ = load_score_records(oracle_store)
+    assert (list(aggregate(records, group_by).items())
+            == list(reference_aggregate(records, group_by).items()))
+
+
+def test_average_tables_match_per_pair_selection(oracle_store):
+    records, _ = load_score_records(oracle_store)
+    for mode in ("category_means", "experiment_means"):
+        tables = _present_average_tables(records, mode)
+        assert [(t["model"], t["base"]) for t in tables] == [
+            (model, kind) for model in ("svm", "gbrt", "logreg")
+            for kind in ("product", "user")]
+        for table in tables:
+            assert table == average_table(records, table["model"],
+                                          BaseKind(table["base"]), mode)
+
+
+@pytest.mark.parametrize("paired", [False, True])
+def test_hypothesis_suite_matches_reference(oracle_store, paired):
+    records, _ = load_score_records(oracle_store)
+    reports, gaps = hypothesis_suite(records, paired=paired)
+    assert reports and gaps  # view_weekday_slot is absent from the store
+    samples = reference_samples(records)
+    for r in reports:
+        map_a = samples[(r.model_kind, r.base_kind, r.behavior, r.category, r.group_a)]
+        map_b = samples[(r.model_kind, r.base_kind, r.behavior, r.category, r.group_b)]
+        if paired:
+            shared = sorted(set(map_a) & set(map_b))
+            expected = paired_t_test([map_a[b] for b in shared], [map_b[b] for b in shared])
+        else:
+            expected = welch_t_test([map_a[b] for b in sorted(map_a)],
+                                    [map_b[b] for b in sorted(map_b)])
+        assert (repr((r.n_a, r.n_b, r.t_stat, r.df, r.p_value))
+                == repr((expected.n_a, expected.n_b, expected.t_stat, expected.df,
+                         expected.p_value)))
+    spans = {key[:4] for key in samples}
+    assert len(reports) + len(gaps) == len(spans) * 3 * 2  # hypotheses x variants
+    reference_records, _ = reference_load_score_records(oracle_store)
+    assert repr(hypothesis_suite(reference_records, paired=paired)) == repr((reports, gaps))

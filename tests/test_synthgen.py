@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from adpredict.learners import LearnerParams, sigmoid
 from adpredict.synthgen import (CalibrationError, GenConfig, calibrate_intercept,
                                 default_base_rates, generate_panel, solve_intercept)
 from adpredict.targets import Behavior, label_vector
+from test_golden import GOLDEN_PANEL
 
 
 def test_same_seed_identical_catalogs():
@@ -79,12 +81,16 @@ def test_rate_matches_configuration_with_zero_betas():
     assert abs(jan_rate - target) < 0.02
 
 
-def test_infeasible_persistence_raises():
+def _infeasible_config() -> GenConfig:
     config = GenConfig(n_users=20, n_products=2, n_advert_matched=2, seed=1)
-    config.wave_persistence = {b: 0.99 for b in Behavior}
     # Persistence 0.99 forces a negative wave-2 fresh rate for actual purchase.
+    config.wave_persistence = {b: 0.99 for b in Behavior}
+    return config
+
+
+def test_infeasible_persistence_raises():
     with pytest.raises(CalibrationError, match="infeasible"):
-        generate_panel(config)
+        generate_panel(_infeasible_config())
 
 
 def test_scalar_beta_demo_expands_with_variation():
@@ -150,3 +156,26 @@ def test_wave_persistence_override_is_used():
     flips_a = sum(r.pi_jan != r.pi_mar for r in a.responses)
     flips_b = sum(r.pi_jan != r.pi_mar for r in b.responses)
     assert flips_b > flips_a
+
+
+def test_generate_panel_starts_no_collection(collections):
+    body = getattr(generate_panel, "__wrapped__", generate_panel).__code__
+    gc.collect()
+    catalog = generate_panel(GOLDEN_PANEL)
+    assert not [stack for stack in collections if body in stack]
+    assert len(catalog.viewing) > 700  # more new records than the youngest threshold
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_generate_panel_restores_collector_state(enabled):
+    if not enabled:
+        gc.disable()
+    try:
+        generate_panel(GenConfig(n_users=10, n_products=2, n_advert_matched=2, seed=1))
+        assert gc.isenabled() is enabled
+        with pytest.raises(CalibrationError, match="infeasible"):
+            generate_panel(_infeasible_config())
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
