@@ -166,7 +166,7 @@ def cmd_run(args) -> int:
             global_seed=int(merged.get("global_seed", 0)),
             workers=int(merged.get("workers", 1)),
             limit=args.limit, resume=args.resume, progress=progress)
-    except StoreError as exc:
+    except RunnerError as exc:
         return _fail(EXIT_VALIDATION, str(exc))
     except OSError as exc:
         return _fail(EXIT_EXECUTION, f"result store failure: {exc}")

@@ -1,11 +1,10 @@
 """K-fold cross validation with precision/recall/F1 scoring.
 
 Folds come from a seeded shuffle (plain, not stratified); per-fold scores
-are averaged arithmetically, which is the reported statistic. A pooled
-variant that merges the fold confusions first is available for sensitivity
-checks. Zero-division conventions: precision is 0 when there are no positive
-predictions, recall is 0 when there are no positive rows, and F1 is 0 when
-precision + recall is 0.
+are averaged arithmetically, which is the reported statistic. Zero-division
+conventions: precision is 0 when there are no positive predictions, recall
+is 0 when there are no positive rows, and F1 is 0 when precision + recall
+is 0.
 """
 
 from __future__ import annotations
@@ -28,10 +27,6 @@ class Confusion:
     def __post_init__(self):
         if min(self.tp, self.fp, self.tn, self.fn) < 0:
             raise ValueError("confusion counts must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
 
 
 @dataclass(frozen=True)
@@ -115,14 +110,3 @@ def cross_validate(X: np.ndarray, y: np.ndarray, learner_kind: str,
         mean_recall=sum(r.recall for r in results) / k,
         mean_f1=sum(r.f1 for r in results) / k,
     )
-
-
-def pooled_metrics(folds: tuple[FoldResult, ...]) -> tuple[float, float, float]:
-    """Metrics over the summed confusion, the alternative to fold averaging."""
-    pooled = Confusion(
-        tp=sum(f.confusion.tp for f in folds),
-        fp=sum(f.confusion.fp for f in folds),
-        tn=sum(f.confusion.tn for f in folds),
-        fn=sum(f.confusion.fn for f in folds),
-    )
-    return metrics(pooled)

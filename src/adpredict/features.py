@@ -1,16 +1,18 @@
 """Feature-matrix assembly for every input configuration and model base.
 
-Matrices are dense float64 with one row per (user, product) pair implied by
-the model base: product-based models take one row per user for a fixed
-product, user-based models one row per advert-matched product for a fixed
-user. Rows are sorted by (user_id, product_id). Every matrix is a slice of
-one ``Panel``, the dense layout of the catalog built once per run.
+A matrix is a plain float64 ndarray with one row per (user, product) pair
+implied by the model base: product-based models take one row per user for a
+fixed product, user-based models one row per advert-matched product for a
+fixed user. Rows are sorted by (user_id, product_id). Every matrix is a slice
+of one ``Panel``, the dense layout of the catalog built once per run.
 
+Columns come in block order: exposure, demographics, purchase intention.
 Exposure blocks are raw accumulated seconds, either 7 weekday sums or 14
-weekday-by-slot cells. Demographics are one-hot encoded in fixed listing
-order (5 + 2 + 3 + 2 + 13 = 25 dims). When enabled for an actual-purchase
-target, one extra binary feature carries the January purchase-intention
-answer; it is never available when purchase intention itself is the target.
+weekday-by-slot cells (weekday-major, slots in ``exposure.SLOT_NAMES``
+order). Demographics are one-hot encoded in fixed listing order
+(5 + 2 + 3 + 2 + 13 = 25 dims). When enabled for an actual-purchase target,
+one last binary column carries the January purchase-intention answer; it is
+never available when purchase intention itself is the target.
 """
 
 from __future__ import annotations
@@ -22,13 +24,8 @@ import numpy as np
 
 from .data_model import (AGE_BRACKETS, INCOME_BRACKETS, MARITAL_STATUSES,
                          PARENTAL_STATUSES, SEXES, Catalog, DemographicProfile)
-from .exposure import SLOT_NAMES, ExposureMatrix
+from .exposure import ExposureMatrix
 from .targets import Behavior
-
-WEEKDAY_NAMES = ("monday", "tuesday", "wednesday", "thursday", "friday",
-                 "saturday", "sunday")
-
-PI_FEATURE_NAME = "purchase_intention_jan"
 
 
 class InputKind(Enum):
@@ -77,10 +74,6 @@ class InputConfig:
                 "the purchase-intention feature requires a demographics block"
             )
 
-    @property
-    def name(self) -> str:
-        return self.kind.value + ("+pi" if self.include_pi_feature else "")
-
 
 class BaseKind(Enum):
     PRODUCT_BASED = "product"
@@ -93,32 +86,8 @@ class ModelBase:
     base_id: str
 
 
-@dataclass
-class FeatureMatrix:
-    values: np.ndarray
-    row_keys: list[tuple[str, str]]
-    feature_names: list[str]
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dims(self) -> int:
-        return self.values.shape[1]
-
-
-def _demographic_feature_names() -> list[str]:
-    names = [f"age_{i}" for i in range(len(AGE_BRACKETS))]
-    names += [f"sex_{i}" for i in range(len(SEXES))]
-    names += [f"marital_{i}" for i in range(len(MARITAL_STATUSES))]
-    names += [f"parental_{i}" for i in range(len(PARENTAL_STATUSES))]
-    names += [f"income_{i}" for i in range(len(INCOME_BRACKETS))]
-    return names
-
-
-DEMOGRAPHIC_FEATURE_NAMES = _demographic_feature_names()
-DEMOGRAPHIC_DIMS = len(DEMOGRAPHIC_FEATURE_NAMES)
+DEMOGRAPHIC_DIMS = sum(map(len, (AGE_BRACKETS, SEXES, MARITAL_STATUSES,
+                                  PARENTAL_STATUSES, INCOME_BRACKETS)))
 
 
 def encode_demographics(profile: DemographicProfile) -> np.ndarray:
@@ -135,12 +104,6 @@ def encode_demographics(profile: DemographicProfile) -> np.ndarray:
         vec[offset + allowed.index(value)] = 1.0
         offset += len(allowed)
     return vec
-
-
-def exposure_feature_names(uses_slots: bool) -> list[str]:
-    if uses_slots:
-        return [f"{day}_{slot}" for day in WEEKDAY_NAMES for slot in SLOT_NAMES]
-    return list(WEEKDAY_NAMES)
 
 
 @dataclass(frozen=True)
@@ -211,7 +174,7 @@ class Panel:
 
 
 def build_matrix(panel: Panel, base: ModelBase, config: InputConfig,
-                 target_behavior: Behavior) -> FeatureMatrix:
+                 target_behavior: Behavior) -> np.ndarray:
     """Assemble the feature matrix for one base, configuration and target."""
     if config.include_pi_feature and target_behavior is Behavior.PURCHASE_INTENTION:
         raise FeatureError(
@@ -219,7 +182,6 @@ def build_matrix(panel: Panel, base: ModelBase, config: InputConfig,
         )
     users, products = panel.rows(base)
 
-    names: list[str] = []
     blocks: list[np.ndarray] = []
     if config.kind.has_viewing:
         exposure = panel.E[users, products]
@@ -227,15 +189,8 @@ def build_matrix(panel: Panel, base: ModelBase, config: InputConfig,
             blocks.append(exposure.reshape(len(users), 14))
         else:
             blocks.append(exposure.sum(axis=2))
-        names += exposure_feature_names(config.kind.uses_slots)
     if config.kind.has_demographics:
         blocks.append(panel.D[users])
-        names += DEMOGRAPHIC_FEATURE_NAMES
     if config.include_pi_feature:
         blocks.append(panel.S[users, products, :1].astype(np.float64))
-        names.append(PI_FEATURE_NAME)
-
-    row_keys = [(panel.user_ids[u], panel.product_ids[p])
-                for u, p in zip(users.tolist(), products.tolist())]
-    return FeatureMatrix(values=np.hstack(blocks), row_keys=row_keys,
-                         feature_names=names)
+    return np.hstack(blocks)

@@ -12,7 +12,6 @@ with rare target categories such folds are routine, not errors.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -101,15 +100,6 @@ class BoostedEnsemble:
             raw += self.learning_rate * apply_tree(tree, X)
         return raw
 
-    def staged_raw_scores(self, X: np.ndarray):
-        """Yield raw scores after 0, 1, ..., len(trees) rounds."""
-        X = _check_matrix(X, self.n_features)
-        raw = np.full(X.shape[0], self.base_score)
-        yield raw.copy()
-        for tree in self.trees:
-            raw += self.learning_rate * apply_tree(tree, X)
-            yield raw.copy()
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self.raw_scores(X))
 
@@ -168,14 +158,6 @@ def _constant_model_for(label: float, kind: str, dims: int) -> LinearModel:
 # Linear SVM: pairwise dual coordinate ascent on the box-constrained dual
 # with an equality constraint, selecting the maximal-violating pair.
 # ---------------------------------------------------------------------------
-
-def svm_primal_objective(weights: np.ndarray, bias: float, X: np.ndarray,
-                         y: np.ndarray, c: float) -> float:
-    """0.5*||w||^2 + C * sum(hinge) with labels in {0,1} mapped to {-1,+1}."""
-    t = 2.0 * np.asarray(y, dtype=np.float64) - 1.0
-    margins = 1.0 - t * (np.asarray(X) @ weights + bias)
-    return 0.5 * float(weights @ weights) + c * float(np.maximum(0.0, margins).sum())
-
 
 # Memory one SVM fit may spend on cached kernel rows. Each cached row k holds
 # K[k, :] = X @ X[k] and the second-order denominators against k, 16 bytes
@@ -526,12 +508,6 @@ def _apply_tree_into(node: TreeNode, X, idx: np.ndarray, out: np.ndarray) -> Non
     _apply_tree_into(node.right, X, idx[~goes_left], out)
 
 
-def binary_log_loss(y: np.ndarray, raw_scores: np.ndarray) -> float:
-    """Mean logistic loss of raw (pre-sigmoid) scores."""
-    y = np.asarray(y, dtype=np.float64)
-    return float(np.mean(np.logaddexp(0.0, raw_scores) - y * raw_scores))
-
-
 # ---------------------------------------------------------------------------
 # Shared entry points.
 # ---------------------------------------------------------------------------
@@ -555,41 +531,3 @@ def predict(model: Model, X) -> np.ndarray:
             return (model.decision_values(X) >= 0.0).astype(np.int64)
         return (sigmoid(model.decision_values(X)) >= 0.5).astype(np.int64)
     return (model.predict_proba(X) >= 0.5).astype(np.int64)
-
-
-def model_to_text(model: Model) -> str:
-    """Serialize a trained model to a JSON document that round-trips exactly."""
-    if isinstance(model, LinearModel):
-        doc = {"type": "linear", "kind": model.kind,
-               "weights": model.weights.tolist(), "bias": model.bias}
-    else:
-        doc = {"type": "boosted", "learning_rate": model.learning_rate,
-               "base_score": model.base_score, "n_features": model.n_features,
-               "trees": [_tree_to_doc(t) for t in model.trees]}
-    return json.dumps(doc, indent=1)
-
-
-def model_from_text(text: str) -> Model:
-    doc = json.loads(text)
-    if doc["type"] == "linear":
-        return LinearModel(weights=np.array(doc["weights"], dtype=np.float64),
-                           bias=doc["bias"], kind=doc["kind"])
-    trees = [_tree_from_doc(t) for t in doc["trees"]]
-    return BoostedEnsemble(trees=trees, learning_rate=doc["learning_rate"],
-                           base_score=doc["base_score"],
-                           n_features=doc["n_features"])
-
-
-def _tree_to_doc(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"weight": node.weight}
-    return {"feature": node.feature, "threshold": node.threshold,
-            "left": _tree_to_doc(node.left), "right": _tree_to_doc(node.right)}
-
-
-def _tree_from_doc(doc: dict) -> TreeNode:
-    if "weight" in doc:
-        return TreeNode(weight=doc["weight"])
-    return TreeNode(feature=doc["feature"], threshold=doc["threshold"],
-                    left=_tree_from_doc(doc["left"]),
-                    right=_tree_from_doc(doc["right"]))

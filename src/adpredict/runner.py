@@ -28,10 +28,13 @@ recorded per spec with a reason; they never abort the run.
 
 from __future__ import annotations
 
+import ctypes
 import fcntl
 import hashlib
 import json
+import multiprocessing
 import os
+import signal
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -250,14 +253,32 @@ def matrix_counts(matrix: MatrixConfig, n_product_bases: int,
 
 _WORKER: dict = {}
 
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+
 
 def _init_worker(panel: Panel, params: LearnerParams, global_seed: int,
                  store_lock: int | None = None) -> None:
-    if store_lock is not None:  # workers can outlive a killed run; only it holds the lock
+    """Hold the run's inputs for ``_execute_spec``. ``store_lock`` is given
+    only in a forked pool worker: it closes its copy of the lock and dies
+    with the run, since SIGKILL reaches only the run's own process and an
+    orphaned worker would block on the call queue for good."""
+    if store_lock is not None:
         os.close(store_lock)
+        _exit_with_run()
     _WORKER["panel"] = panel
     _WORKER["params"] = params
     _WORKER["global_seed"] = global_seed
+
+
+def _exit_with_run() -> None:
+    """Have the kernel SIGKILL this worker once its parent, the run, is gone."""
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes = (ctypes.c_int,) + (ctypes.c_ulong,) * 4
+    prctl.restype = ctypes.c_int
+    if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0) != 0:
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != multiprocessing.parent_process().pid:  # gone before the call
+        os._exit(1)
 
 
 def _execute_spec(spec: ExperimentSpec) -> tuple[str, str]:
@@ -266,9 +287,9 @@ def _execute_spec(spec: ExperimentSpec) -> tuple[str, str]:
     seed = spec_seed(_WORKER["global_seed"], spec.spec_id)
     try:
         panel = _WORKER["panel"]
-        fm = build_matrix(panel, spec.base, spec.config, spec.behavior)
+        X = build_matrix(panel, spec.base, spec.config, spec.behavior)
         y = label_vector(*panel.waves(spec.base, spec.behavior), spec.category)
-        cv = cross_validate(fm.values, y, spec.model_kind, _WORKER["params"],
+        cv = cross_validate(X, y, spec.model_kind, _WORKER["params"],
                             spec.k, seed)
     except Exception as exc:  # recorded, never fatal to the run
         reason = f"{type(exc).__name__}: {exc}".replace("\t", " ").replace("\n", " ")
@@ -311,6 +332,8 @@ def run_matrix(catalog: Catalog, matrix: MatrixConfig, out_dir: str | Path,
     catalog fingerprint, matrix and seed all match the manifest. One run at
     a time may write a store; a second one raises ``StoreError``.
     """
+    if limit is not None and limit < 0:
+        raise RunnerError(f"limit must be non-negative, got {limit}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if exposure is None:
@@ -333,12 +356,16 @@ def run_matrix(catalog: Catalog, matrix: MatrixConfig, out_dir: str | Path,
         panel = Panel.build(catalog, exposure)
         sink = stack.enter_context((out_dir / RESULTS_FILE).open("a", encoding="utf-8"))
         if workers <= 1 or len(remaining) <= 1:
+            stack.callback(_WORKER.clear)  # the run's panel is not kept past it
             _init_worker(panel, matrix.learner_params, global_seed)
             outcomes = map(_execute_spec, remaining)
         else:
             chunk = max(1, min(32, len(remaining) // (workers * 4) or 1))
+            # Forked, whatever the default start method: each worker is a
+            # child of the run, holding a copy of its lock to close.
             pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker,
+                max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker,
                 initargs=(panel, matrix.learner_params, global_seed, lock)))
             # map() yields in submission order, which keeps the log bytes
             # independent of completion order.
@@ -407,6 +434,18 @@ def _open_store(out_dir: Path, identity: dict, heads: list[str], resume: bool) -
     return len(rows)
 
 
+def _read_lines(path: Path) -> tuple[list[str], int]:
+    """The complete lines of a store file, without their newlines, and their
+    byte length; bytes that are not UTF-8 raise StoreError with the line."""
+    data = path.read_bytes()
+    end = data.rfind(b"\n") + 1
+    try:
+        return data[:end].decode("utf-8").split("\n")[:-1], end
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise StoreError(f"{path}:{line_no}: not UTF-8") from None
+
+
 def _read_log(path: Path, heads: Sequence[str]) -> tuple[list[list[str]], int]:
     """The rows of a results log, each as its list of fields, and the byte
     length of its complete lines.
@@ -417,13 +456,7 @@ def _read_log(path: Path, heads: Sequence[str]) -> tuple[list[list[str]], int]:
     """
     if not path.exists():
         raise StoreError(f"missing results log {path}")
-    data = path.read_bytes()
-    end = data.rfind(b"\n") + 1
-    try:
-        lines = data[:end].decode("utf-8").split("\n")[:-1]
-    except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
-        raise StoreError(f"{path}:{line_no}: not UTF-8") from None
+    lines, end = _read_lines(path)
     if not lines or tuple(lines[0].split("\t")) != _RESULT_COLUMNS:
         raise StoreError(f"{path}: bad or missing header")
     rows = []
@@ -460,7 +493,7 @@ def load_score_records(store_dir: str | Path) -> tuple[list[ScoreRecord], list[d
     specs_path = store_dir / SPECS_FILE
     if not specs_path.exists():
         raise StoreError(f"missing enumeration index {specs_path}")
-    heads = specs_path.read_bytes().decode("utf-8").split("\n")[1:-1]
+    heads = _read_lines(specs_path)[0][1:]
     results_path = store_dir / RESULTS_FILE
     rows, _ = _read_log(results_path, heads)
     behaviors = {behavior.value: behavior for behavior in Behavior}

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .features import BaseKind, InputKind
+from .features import INPUT_KIND_ORDER, BaseKind, InputKind
 from .learners import MODEL_KINDS
 from .targets import CATEGORIES, Behavior
 
@@ -197,13 +197,7 @@ def aggregate(records: Iterable["ScoreRecord"],
     return _aggregate_rows(_score_rows(records), group_by)
 
 
-_CONFIG_COLUMNS = tuple(kind.value for kind in (
-    InputKind.VIEW_WEEKDAY_SLOT,
-    InputKind.VIEW_WEEKDAY,
-    InputKind.DEMOGRAPHICS,
-    InputKind.VIEW_WEEKDAY_SLOT_DEMO,
-    InputKind.VIEW_WEEKDAY_DEMO,
-))
+_CONFIG_COLUMNS = tuple(kind.value for kind in INPUT_KIND_ORDER)
 
 _BEHAVIOR_ORDER = (Behavior.ACTUAL_PURCHASE, Behavior.PURCHASE_INTENTION)
 

@@ -245,13 +245,15 @@ def _structure(config: GenConfig, rng: np.random.Generator):
     return user_ids, product_ids, matched, users, broadcasts, viewing
 
 
-def _scored_structure(config: GenConfig):
-    """Draw steps 1-4 for the configured seed and score every row.
+@_collector_paused()
+def generate_panel(config: GenConfig) -> Catalog:
+    """Generate a complete catalog; deterministic for a given seed.
 
-    Returns the generator (positioned for step 5), the drawn users, products,
-    broadcasts and viewing, the sorted (user, product) rows, their logistic
-    scores without intercept and the mask of advert-matched rows.
+    Automatic cyclic garbage collection is paused while the records are
+    built, as in ``data_model.parse_catalog``.
     """
+    # Steps 1-4, then the logistic score of every (user, product) row
+    # without its intercept.
     rng = np.random.Generator(np.random.PCG64(config.seed))
     user_ids, product_ids, matched, users, broadcasts, viewing = _structure(config, rng)
     exposure = compute_exposure(viewing, broadcasts)
@@ -263,22 +265,9 @@ def _scored_structure(config: GenConfig):
     profiles = {u.user_id: u for u in users}
     demo_effect = np.array([float(config.beta_demo @ encode_demographics(profiles[uid]))
                             for uid in user_ids])
-    scores = demo_effect[:, None] + config.beta_exposure * pair_seconds / 100.0
+    scores = (demo_effect[:, None] + config.beta_exposure * pair_seconds / 100.0).ravel()
     rows = [(u, p) for u in user_ids for p in sorted_products]
     matched_mask = np.tile(np.isin(sorted_products, matched), len(user_ids))
-    return (rng, (users, product_ids, broadcasts, viewing), rows, scores.ravel(),
-            matched_mask)
-
-
-@_collector_paused()
-def generate_panel(config: GenConfig) -> Catalog:
-    """Generate a complete catalog; deterministic for a given seed.
-
-    Automatic cyclic garbage collection is paused while the records are
-    built, as in ``data_model.parse_catalog``.
-    """
-    rng, (users, product_ids, broadcasts, viewing), rows, scores, matched_mask = \
-        _scored_structure(config)
 
     answers: dict[Behavior, tuple[np.ndarray, np.ndarray]] = {}
     for behavior in (Behavior.ACTUAL_PURCHASE, Behavior.PURCHASE_INTENTION):
@@ -310,18 +299,3 @@ def generate_panel(config: GenConfig) -> Catalog:
         for i, (u, p) in enumerate(rows)
     ]
     return Catalog.build(users, product_ids, responses, viewing, broadcasts)
-
-
-def calibrate_intercept(config: GenConfig, target_rate: float | None = None,
-                        behavior: Behavior = Behavior.ACTUAL_PURCHASE) -> float:
-    """Wave-1 intercept the generator would use for ``behavior``.
-
-    Replays draw steps 1-4 for the configured seed, then bisects the
-    intercept over the advert-matched rows. The default target is the
-    behavior's configured wave-1 positive rate.
-    """
-    _, _, _, scores, matched_mask = _scored_structure(config)
-    if target_rate is None:
-        f0, _, _, f3 = _normalized_rates(config.base_rates[behavior])
-        target_rate = f0 + f3
-    return solve_intercept(scores[matched_mask], target_rate)

@@ -20,8 +20,6 @@ from enum import Enum
 
 import numpy as np
 
-from .data_model import SurveyResponse
-
 
 class Behavior(Enum):
     ACTUAL_PURCHASE = "actual_purchase"
@@ -29,26 +27,6 @@ class Behavior(Enum):
 
 
 CATEGORIES = (0, 1, 2, 3, 4, 5)
-
-
-def categorize(jan: bool, mar: bool) -> frozenset[int]:
-    """Category pair for one answer pattern."""
-    if jan and not mar:
-        base = 0
-    elif not jan and not mar:
-        base = 1
-    elif not jan and mar:
-        base = 2
-    else:
-        base = 3
-    union = 4 if mar else 5
-    return frozenset((base, union))
-
-
-def wave_answers(response: SurveyResponse, behavior: Behavior) -> tuple[bool, bool]:
-    if behavior is Behavior.ACTUAL_PURCHASE:
-        return response.ap_jan, response.ap_mar
-    return response.pi_jan, response.pi_mar
 
 
 def label_vector(jan: np.ndarray, mar: np.ndarray, category: int) -> np.ndarray:
@@ -62,20 +40,3 @@ def label_vector(jan: np.ndarray, mar: np.ndarray, category: int) -> np.ndarray:
         raise ValueError(f"category must be in 0..5, got {category}")
     member = (jan & ~mar, ~jan & ~mar, ~jan & mar, jan & mar, mar, ~mar)[category]
     return member.astype(np.int64)
-
-
-def category_distribution(responses: list[SurveyResponse],
-                          behavior: Behavior) -> dict[int, float]:
-    """Fraction of responses whose category pair contains each category.
-
-    The base categories 0-3 sum to 1; category 4 equals 2 + 3 and
-    category 5 equals 0 + 1, so 4 + 5 also sum to 1.
-    """
-    if not responses:
-        raise ValueError("responses must be nonempty")
-    counts = {c: 0 for c in CATEGORIES}
-    for r in responses:
-        for c in categorize(*wave_answers(r, behavior)):
-            counts[c] += 1
-    n = len(responses)
-    return {c: counts[c] / n for c in CATEGORIES}

@@ -19,15 +19,16 @@ from adpredict.data_model import parse_catalog, write_catalog
 from adpredict.evaluation import Confusion, cross_validate, metrics
 from adpredict.exposure import compute_exposure
 from adpredict.features import InputKind, Panel, build_matrix
-from adpredict.learners import (LearnerParams, binary_log_loss, logistic_gradient,
-                                logistic_objective, svm_primal_objective,
+from adpredict.learners import (LearnerParams, logistic_gradient, logistic_objective,
                                 train_gbrt, train_svm)
 from adpredict.runner import (MatrixConfig, RESULTS_FILE, SPECS_FILE,
                               enumerate_experiments, matrix_counts, run_matrix)
 from adpredict.stats import hypothesis_suite, welch_t_test
 from adpredict.synthgen import GenConfig, generate_panel
-from adpredict.targets import Behavior, categorize, label_vector, wave_answers
+from adpredict.targets import Behavior, label_vector
 from conftest import random_catalog
+from oracles import (binary_log_loss, categorize, staged_raw_scores,
+                     svm_primal_objective, wave_answers)
 from test_learners import random_instance, subgradient_svm_oracle
 from test_stats import quadrature_two_sided_p
 
@@ -181,7 +182,7 @@ def test_learner_oracles():
                                    positive_rate=float(rng.uniform(0.15, 0.5)))
             ensemble = train_gbrt(X, y)
             losses = [binary_log_loss(y, raw)
-                      for raw in ensemble.staged_raw_scores(X)]
+                      for raw in staged_raw_scores(ensemble, X)]
             assert len(losses) == 101
             assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -278,9 +279,9 @@ def _h1_cell(catalog, matrix, seed, category, variant="weekday_slot"):
     from adpredict.runner import ScoreRecord, spec_seed
     records = []
     for spec in enumerate_experiments(catalog, matrix):
-        fm = build_matrix(panel, spec.base, spec.config, spec.behavior)
+        X = build_matrix(panel, spec.base, spec.config, spec.behavior)
         y = label_vector(*panel.waves(spec.base, spec.behavior), spec.category)
-        cv = cross_validate(fm.values, y, spec.model_kind, matrix.learner_params,
+        cv = cross_validate(X, y, spec.model_kind, matrix.learner_params,
                             spec.k, spec_seed(seed, spec.spec_id))
         records.append(ScoreRecord(spec=spec, cv=cv, seed=seed))
     reports, _ = hypothesis_suite(records)

@@ -179,6 +179,32 @@ def test_report_refuses_unparsable_score_fields(panel_dir, tmp_path, defect):
     assert "Traceback" not in result.stderr
 
 
+def test_report_refuses_specs_index_that_is_not_utf8(panel_dir, tmp_path):
+    store = tmp_path / "store"
+    runner.run_matrix(parse_catalog(panel_dir), runner.MatrixConfig.from_dict(MATRIX),
+                      store, global_seed=3, limit=5)
+    specs = store / runner.SPECS_FILE
+    lines = specs.read_bytes().splitlines(keepends=True)  # lines[i] is line i + 1
+    lines[3] = b"\xff" + lines[3]
+    specs.write_bytes(b"".join(lines))
+    result = run_cli("report", "--store", str(store), "--out-dir", str(tmp_path / "r"))
+    assert result.returncode == 2
+    assert f"{runner.SPECS_FILE}:4: not UTF-8" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_run_refuses_negative_limit(panel_dir, tmp_path):
+    store = tmp_path / "store"
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"data_dir": str(panel_dir), "out_dir": str(store),
+                                       "matrix": dict(MATRIX, categories=[1])}))
+    result = run_cli("run", "--config", str(config_path), "--limit", "-1")
+    assert result.returncode == 3
+    assert "limit" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not store.exists()
+
+
 def test_run_flag_conflict_warns_and_config_wins(panel_dir, tmp_path):
     store = tmp_path / "store"
     run_config = {

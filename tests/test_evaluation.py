@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adpredict.evaluation import (Confusion, confusion_from, cross_validate,
-                                  kfold_split, metrics, pooled_metrics)
+                                  kfold_split, metrics)
 from adpredict.learners import LearnerParams
 
 
@@ -33,7 +33,7 @@ def test_confusion_from_predictions():
     y_pred = np.array([1, 0, 1, 0, 1])
     confusion = confusion_from(y_true, y_pred)
     assert (confusion.tp, confusion.fp, confusion.tn, confusion.fn) == (2, 1, 1, 1)
-    assert confusion.total == 5
+    assert confusion.tp + confusion.fp + confusion.tn + confusion.fn == 5
 
 
 def four_mask_confusion(y_true, y_pred):
@@ -125,15 +125,3 @@ def test_mean_is_arithmetic_over_folds():
     assert result.mean_f1 == pytest.approx(sum(f.f1 for f in result.folds) / 5)
     assert result.mean_precision == pytest.approx(
         sum(f.precision for f in result.folds) / 5)
-
-
-def test_pooled_metrics_alternative():
-    folds = cross_validate(np.random.default_rng(4).normal(size=(20, 2)),
-                           np.array([0, 1] * 10), "logreg", LearnerParams(),
-                           5, 2).folds
-    pooled = pooled_metrics(folds)
-    merged = Confusion(tp=sum(f.confusion.tp for f in folds),
-                       fp=sum(f.confusion.fp for f in folds),
-                       tn=sum(f.confusion.tn for f in folds),
-                       fn=sum(f.confusion.fn for f in folds))
-    assert pooled == metrics(merged)

@@ -165,9 +165,9 @@ def test_weekday_total_sums_slots(tiny_catalog):
     seconds[1, 0, 2] = [30, 12 + 5]
     panel = Panel.build(tiny_catalog, ExposureMatrix(("u001", "u002"), ("p01",), seconds))
     assert panel.E[1, 0, 2].tolist() == [30.0, 17.0]
-    fm = build_matrix(panel, ModelBase(BaseKind.PRODUCT_BASED, "p01"),
-                      InputConfig(InputKind.VIEW_WEEKDAY), Behavior.ACTUAL_PURCHASE)
-    assert fm.values[1].tolist() == [0.0, 0.0, 47.0, 0.0, 0.0, 0.0, 0.0]
+    X = build_matrix(panel, ModelBase(BaseKind.PRODUCT_BASED, "p01"),
+                     InputConfig(InputKind.VIEW_WEEKDAY), Behavior.ACTUAL_PURCHASE)
+    assert X[1].tolist() == [0.0, 0.0, 47.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_audit_dump(tmp_path):

@@ -55,6 +55,13 @@ def _panel(catalog, exposure=None) -> Panel:
     return Panel.build(catalog, exposure)
 
 
+def _row_keys(panel, base) -> list[tuple[str, str]]:
+    """The (user, product) ids of a base's rows, in row order."""
+    users, products = panel.rows(base)
+    return [(panel.user_ids[u], panel.product_ids[p])
+            for u, p in zip(users.tolist(), products.tolist())]
+
+
 def _oracle_row(catalog, exposure, user_id, product_id, config):
     """One feature row assembled cell by cell from the sparse join."""
     row = []
@@ -91,10 +98,10 @@ def test_slices_match_per_row_oracle():
                 keys = [(u, base.base_id) for u in catalog.user_ids]
             else:
                 keys = [(base.base_id, p) for p in catalog.advert_matched_products]
+            assert _row_keys(panel, base) == keys
             for config in configs:
-                fm = build_matrix(panel, base, config, Behavior.ACTUAL_PURCHASE)
-                assert fm.row_keys == keys
-                assert fm.values.tolist() == [
+                X = build_matrix(panel, base, config, Behavior.ACTUAL_PURCHASE)
+                assert X.tolist() == [
                     _oracle_row(catalog, exposure, u, p, config) for u, p in keys]
             responses = {(r.user_id, r.product_id): r for r in catalog.responses}
             jan, mar = panel.waves(base, Behavior.PURCHASE_INTENTION)
@@ -113,16 +120,16 @@ def test_dims_per_configuration(tiny_catalog):
         InputKind.VIEW_WEEKDAY_SLOT_DEMO: 39,
     }
     for kind, dims in expected.items():
-        fm = build_matrix(panel, base, InputConfig(kind), Behavior.ACTUAL_PURCHASE)
-        assert fm.dims == dims
-        assert fm.rows == 2
-        assert len(fm.feature_names) == dims
-    with_pi = build_matrix(panel, base,
-                           InputConfig(InputKind.VIEW_WEEKDAY_SLOT_DEMO,
-                                       include_pi_feature=True),
+        X = build_matrix(panel, base, InputConfig(kind), Behavior.ACTUAL_PURCHASE)
+        assert X.shape == (2, dims)
+        assert X.dtype == np.float64
+    kind = InputKind.VIEW_WEEKDAY_SLOT_DEMO
+    with_pi = build_matrix(panel, base, InputConfig(kind, include_pi_feature=True),
                            Behavior.ACTUAL_PURCHASE)
-    assert with_pi.dims == 40
-    assert with_pi.feature_names[-1] == "purchase_intention_jan"
+    assert with_pi.shape == (2, 40)
+    # The purchase-intention column comes last, after the 39 of its kind.
+    without = build_matrix(panel, base, InputConfig(kind), Behavior.ACTUAL_PURCHASE)
+    assert np.array_equal(with_pi[:, :-1], without)
 
 
 def test_pi_feature_blocked_for_pi_target(tiny_catalog):
@@ -133,13 +140,15 @@ def test_pi_feature_blocked_for_pi_target(tiny_catalog):
 
 
 def test_pi_feature_value_is_january_wave(tiny_catalog):
-    fm = build_matrix(_panel(tiny_catalog), ModelBase(BaseKind.PRODUCT_BASED, "p01"),
-                      InputConfig(InputKind.DEMOGRAPHICS, include_pi_feature=True),
-                      Behavior.ACTUAL_PURCHASE)
+    panel = _panel(tiny_catalog)
+    base = ModelBase(BaseKind.PRODUCT_BASED, "p01")
+    X = build_matrix(panel, base,
+                     InputConfig(InputKind.DEMOGRAPHICS, include_pi_feature=True),
+                     Behavior.ACTUAL_PURCHASE)
     # pi_jan for (u001, p01) is True, for (u002, p01) is False.
-    assert fm.row_keys == [("u001", "p01"), ("u002", "p01")]
-    assert fm.values[0, -1] == 1.0
-    assert fm.values[1, -1] == 0.0
+    assert _row_keys(panel, base) == [("u001", "p01"), ("u002", "p01")]
+    assert X[0, -1] == 1.0
+    assert X[1, -1] == 0.0
 
 
 def test_unknown_base_rejected(tiny_catalog):
@@ -164,21 +173,20 @@ def test_exposure_axes_must_fit_catalog(tiny_catalog):
 
 
 def test_product_base_exposure_rows(tiny_catalog):
-    fm = build_matrix(_panel(tiny_catalog), ModelBase(BaseKind.PRODUCT_BASED, "p01"),
-                      InputConfig(InputKind.VIEW_WEEKDAY_SLOT),
-                      Behavior.ACTUAL_PURCHASE)
+    X = build_matrix(_panel(tiny_catalog), ModelBase(BaseKind.PRODUCT_BASED, "p01"),
+                     InputConfig(InputKind.VIEW_WEEKDAY_SLOT),
+                     Behavior.ACTUAL_PURCHASE)
     # Monday primetime column is index 0; u001 saw the full 15 s advert.
-    assert fm.values[0, 0] == 15.0
-    assert fm.values[1].sum() == 0.0
+    assert X[0, 0] == 15.0
+    assert X[1].sum() == 0.0
 
 
 def test_user_base_demographics_rows_identical(tiny_catalog):
-    fm = build_matrix(_panel(tiny_catalog), ModelBase(BaseKind.USER_BASED, "u001"),
-                      InputConfig(InputKind.DEMOGRAPHICS), Behavior.ACTUAL_PURCHASE)
+    X = build_matrix(_panel(tiny_catalog), ModelBase(BaseKind.USER_BASED, "u001"),
+                     InputConfig(InputKind.DEMOGRAPHICS), Behavior.ACTUAL_PURCHASE)
     # One row per advert-matched product, all carrying the same user vector.
-    assert fm.rows == 1  # only p01 is advert-matched in the tiny catalog
-    fm_rows = fm.values
-    assert np.array_equal(fm_rows[0], encode_demographics(tiny_catalog.users[0]))
+    assert X.shape[0] == 1  # only p01 is advert-matched in the tiny catalog
+    assert np.array_equal(X[0], encode_demographics(tiny_catalog.users[0]))
 
 
 def test_user_base_demographics_degenerate_constant_rows():
@@ -189,10 +197,10 @@ def test_user_base_demographics_degenerate_constant_rows():
                              n_broadcast_products=4, n_broadcasts=12)
     assert len(catalog.advert_matched_products) >= 2
     user = catalog.user_ids[0]
-    fm = build_matrix(_panel(catalog), ModelBase(BaseKind.USER_BASED, user),
-                      InputConfig(InputKind.DEMOGRAPHICS), Behavior.ACTUAL_PURCHASE)
-    assert fm.rows == len(catalog.advert_matched_products)
-    assert np.all(fm.values == fm.values[0])
+    X = build_matrix(_panel(catalog), ModelBase(BaseKind.USER_BASED, user),
+                     InputConfig(InputKind.DEMOGRAPHICS), Behavior.ACTUAL_PURCHASE)
+    assert X.shape[0] == len(catalog.advert_matched_products)
+    assert np.all(X == X[0])
 
 
 def test_weekday_matrix_is_slot_marginalization():
@@ -204,15 +212,19 @@ def test_weekday_matrix_is_slot_marginalization():
             continue
         panel = _panel(catalog)
         base = ModelBase(BaseKind.PRODUCT_BASED, catalog.advert_matched_products[0])
-        slot_fm = build_matrix(panel, base, InputConfig(InputKind.VIEW_WEEKDAY_SLOT),
-                               Behavior.ACTUAL_PURCHASE)
-        week_fm = build_matrix(panel, base, InputConfig(InputKind.VIEW_WEEKDAY),
-                               Behavior.ACTUAL_PURCHASE)
-        collapsed = slot_fm.values.reshape(slot_fm.rows, 7, 2).sum(axis=2)
-        assert np.array_equal(collapsed, week_fm.values)
+        slot_X = build_matrix(panel, base, InputConfig(InputKind.VIEW_WEEKDAY_SLOT),
+                              Behavior.ACTUAL_PURCHASE)
+        week_X = build_matrix(panel, base, InputConfig(InputKind.VIEW_WEEKDAY),
+                              Behavior.ACTUAL_PURCHASE)
+        collapsed = slot_X.reshape(slot_X.shape[0], 7, 2).sum(axis=2)
+        assert np.array_equal(collapsed, week_X)
 
 
 def test_rows_sorted_by_user_product(tiny_catalog):
-    fm = build_matrix(_panel(tiny_catalog), ModelBase(BaseKind.PRODUCT_BASED, "p01"),
-                      InputConfig(InputKind.DEMOGRAPHICS), Behavior.ACTUAL_PURCHASE)
-    assert fm.row_keys == sorted(fm.row_keys)
+    panel = _panel(tiny_catalog)
+    base = ModelBase(BaseKind.PRODUCT_BASED, "p01")
+    X = build_matrix(panel, base, InputConfig(InputKind.DEMOGRAPHICS),
+                     Behavior.ACTUAL_PURCHASE)
+    keys = _row_keys(panel, base)
+    assert len(keys) == X.shape[0]
+    assert keys == sorted(keys)

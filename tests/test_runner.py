@@ -6,11 +6,13 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from adpredict import runner
 from adpredict.evaluation import Confusion, CvResult, FoldResult
 from adpredict.features import BaseKind, InputConfig, InputKind, ModelBase
 from adpredict.runner import (MANIFEST_FILE, MatrixConfig, RESULTS_FILE, RunnerError,
@@ -339,6 +341,40 @@ def test_load_requires_the_specs_index(small_catalog, tmp_path):
         load_score_records(tmp_path / "s")
 
 
+def test_load_refuses_specs_index_that_is_not_utf8(small_catalog, tmp_path):
+    store = tmp_path / "s"
+    run_matrix(small_catalog, SMALL_MATRIX, store, global_seed=4, limit=5)
+    specs = store / SPECS_FILE
+    lines = specs.read_bytes().splitlines(keepends=True)  # lines[i] is line i + 1
+    lines[3] = b"\xff" + lines[3]
+    specs.write_bytes(b"".join(lines))
+    with pytest.raises(StoreError, match=f"{SPECS_FILE}:4: not UTF-8"):
+        load_score_records(store)
+
+
+def test_negative_limit_is_refused(small_catalog, tmp_path):
+    store = tmp_path / "s"
+    with pytest.raises(RunnerError, match="limit"):
+        run_matrix(small_catalog, SMALL_MATRIX, store, global_seed=4, limit=-1)
+    assert not store.exists()
+    manifest = run_matrix(small_catalog, SMALL_MATRIX, store, global_seed=4, limit=0)
+    assert manifest["executed"] == 0
+    assert len(load_score_records(store)[0]) == 0
+
+
+def test_serial_run_releases_its_panel(small_catalog, tmp_path):
+    run_matrix(small_catalog, SMALL_MATRIX, tmp_path / "a", global_seed=4, limit=3)
+    assert runner._WORKER == {}
+
+    def interrupt(done, total, spec_id, status):
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        run_matrix(small_catalog, SMALL_MATRIX, tmp_path / "b", global_seed=4,
+                   progress=interrupt)
+    assert runner._WORKER == {}
+
+
 def test_second_writer_is_refused(small_catalog, tmp_path):
     store = tmp_path / "s"
     store.mkdir()
@@ -433,6 +469,82 @@ def test_orphaned_workers_do_not_hold_the_store(tmp_path):
     assert (store / RESULTS_FILE).read_bytes() == (tmp_path / "full" / RESULTS_FILE).read_bytes()
 
 
+def _process_state(pid: int) -> tuple[str, int] | None:
+    """(state, parent pid) of a process from /proc, or None once it is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+    state, ppid = stat[stat.rindex(")") + 2:].split()[:2]
+    return state, int(ppid)
+
+
+def _children(pid: int) -> set[int]:
+    found = set()
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            info = _process_state(int(entry.name))
+            if info is not None and info[1] == pid:
+                found.add(int(entry.name))
+    return found
+
+
+def _running(pids: set[int]) -> set[int]:
+    """The processes of ``pids`` that exist and are not zombies."""
+    return {pid for pid in pids
+            if (info := _process_state(pid)) is not None and info[0] not in "ZX"}
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_orphaned_workers_exit_with_their_run(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"synth": KILL_SYNTH, "out_dir": str(tmp_path / "store"),
+                                  "global_seed": 4, "workers": 2, "matrix": KILL_MATRIX}))
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "adpredict.cli", "run", "--config", str(config),
+         "--progress"], stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), start_new_session=True)
+    workers = set()
+    try:
+        for line in proc.stdout:
+            if line.startswith('{"done": 20,'):
+                workers = _children(proc.pid)
+                os.kill(proc.pid, signal.SIGKILL)
+                break
+        proc.stdout.close()
+        assert proc.wait() == -signal.SIGKILL
+        assert len(workers) == 2
+        deadline = time.monotonic() + 10.0
+        while _running(workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(workers)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+
+
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_pool_workers_fork_whatever_the_default_start_method(tmp_path, method):
+    script = f"""
+import multiprocessing, sys
+from adpredict.runner import MatrixConfig, run_matrix
+from adpredict.synthgen import GenConfig, generate_panel
+if __name__ == "__main__":
+    multiprocessing.set_start_method({method!r})
+    run_matrix(generate_panel(GenConfig(**{KILL_SYNTH!r})),
+               MatrixConfig.from_dict({KILL_MATRIX!r}), sys.argv[1], global_seed=4,
+               workers=2)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    subprocess.run([sys.executable, "-c", script, str(tmp_path / "pool")], check=True,
+                   timeout=300, env=dict(os.environ, PYTHONPATH=str(src)))
+    run_matrix(generate_panel(GenConfig(**KILL_SYNTH)), MatrixConfig.from_dict(KILL_MATRIX),
+               tmp_path / "serial", global_seed=4)
+    assert ((tmp_path / "pool" / RESULTS_FILE).read_bytes()
+            == (tmp_path / "serial" / RESULTS_FILE).read_bytes())
+
+
 def test_resume_rejects_changed_catalog(small_catalog, tmp_path):
     run_matrix(small_catalog, SMALL_MATRIX, tmp_path / "s", global_seed=4, limit=3)
     other = generate_panel(GenConfig(n_users=12, n_products=3, n_advert_matched=2,
@@ -474,8 +586,8 @@ def test_load_round_trips_fold_details(small_catalog, tmp_path):
     records, _ = load_score_records(tmp_path / "s")
     record = records[0]
     assert len(record.cv.folds) == SMALL_MATRIX.k
-    total_rows = record.cv.folds[0].confusion.total
-    assert total_rows > 0
+    confusion = record.cv.folds[0].confusion
+    assert confusion.tp + confusion.fp + confusion.tn + confusion.fn > 0
     assert record.cv.mean_f1 == pytest.approx(
         sum(f.f1 for f in record.cv.folds) / SMALL_MATRIX.k)
 

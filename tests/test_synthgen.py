@@ -10,8 +10,8 @@ from adpredict.exposure import compute_exposure
 from adpredict.features import (BaseKind, DEMOGRAPHIC_DIMS, InputConfig, InputKind,
                                 ModelBase, Panel, build_matrix)
 from adpredict.learners import LearnerParams, sigmoid
-from adpredict.synthgen import (CalibrationError, GenConfig, calibrate_intercept,
-                                default_base_rates, generate_panel, solve_intercept)
+from adpredict.synthgen import (CalibrationError, GenConfig, default_base_rates,
+                                generate_panel, solve_intercept)
 from adpredict.targets import Behavior, label_vector
 from test_golden import GOLDEN_PANEL
 
@@ -60,15 +60,6 @@ def test_solve_intercept_rejects_bad_target():
         solve_intercept(np.zeros(10), 0.0)
     with pytest.raises(CalibrationError):
         solve_intercept(np.zeros(10), 1.0)
-
-
-def test_calibrate_intercept_default_target():
-    config = GenConfig(n_users=50, n_products=3, n_advert_matched=2, seed=4,
-                       broadcasts_per_day=3)
-    alpha = calibrate_intercept(config)
-    rates = default_base_rates()[Behavior.ACTUAL_PURCHASE]
-    target = (rates[0] + rates[3]) / sum(rates)
-    assert alpha == pytest.approx(math.log(target / (1 - target)), abs=1e-6)
 
 
 def test_rate_matches_configuration_with_zero_betas():
@@ -131,10 +122,10 @@ def test_planted_exposure_effect_is_detectable():
                                                           list(catalog.broadcasts)))
             for product in catalog.advert_matched_products:
                 base = ModelBase(BaseKind.PRODUCT_BASED, product)
-                fm = build_matrix(panel, base, InputConfig(InputKind.VIEW_WEEKDAY),
-                                  Behavior.ACTUAL_PURCHASE)
+                X = build_matrix(panel, base, InputConfig(InputKind.VIEW_WEEKDAY),
+                                 Behavior.ACTUAL_PURCHASE)
                 y = label_vector(*panel.waves(base, Behavior.ACTUAL_PURCHASE), 4)
-                cv = cross_validate(fm.values, y, "logreg", LearnerParams(),
+                cv = cross_validate(X, y, "logreg", LearnerParams(),
                                     5, seed)
                 scores.append(cv.mean_f1)
         return float(np.mean(scores))

@@ -5,8 +5,8 @@ from adpredict.data_model import SurveyResponse
 from adpredict.exposure import compute_exposure
 from adpredict.features import BaseKind, ModelBase, Panel
 from adpredict.synthgen import GenConfig, generate_panel
-from adpredict.targets import (Behavior, CATEGORIES, categorize,
-                               category_distribution, label_vector, wave_answers)
+from adpredict.targets import Behavior, CATEGORIES, label_vector
+from oracles import categorize, category_distribution, wave_answers
 
 
 def _resp(pi_jan, pi_mar, ap_jan, ap_mar, user="u1", product="p1"):
