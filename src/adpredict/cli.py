@@ -106,23 +106,30 @@ def cmd_run(args) -> int:
         doc = _load_json(args.config)
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(EXIT_PARSE, f"cannot read run config: {exc}")
+    if not isinstance(doc, dict):
+        return _fail(EXIT_PARSE, "run config must be a JSON object")
     merged = _merge_run_config(args, doc)
 
     sources = [k for k in ("data_dir", "synth", "synth_config") if merged.get(k)]
     try:
         matrix = MatrixConfig.from_dict(merged.get("matrix", {}))
-    except (RunnerError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # RunnerError is a ValueError
         return _fail(EXIT_VALIDATION, f"bad matrix config: {exc}")
+    try:
+        global_seed = int(merged.get("global_seed", 0))
+        workers = int(merged.get("workers", 1))
+    except (TypeError, ValueError) as exc:
+        return _fail(EXIT_VALIDATION, f"bad global_seed or workers: {exc}")
 
     if args.dry_run and not sources:
         # Counting needs only base counts; reference-scale totals are
         # verifiable without materializing any catalog.
         n_products = merged.get("assume_product_bases")
         n_users = merged.get("assume_user_bases")
-        if n_products is None or n_users is None:
+        if not all(type(n) is int and n >= 0 for n in (n_products, n_users)):
             return _fail(EXIT_VALIDATION,
                          "dry run without a data source needs assume_product_bases "
-                         "and assume_user_bases")
+                         "and assume_user_bases, each a non-negative integer")
         _print_counts(matrix_counts(matrix, n_products, n_users))
         return EXIT_OK
 
@@ -139,6 +146,8 @@ def cmd_run(args) -> int:
             catalog = generate_panel(GenConfig.from_dict(gen_doc))
     except ParseError as exc:
         return _fail(EXIT_PARSE, str(exc))
+    except (OSError, json.JSONDecodeError) as exc:
+        return _fail(EXIT_PARSE, f"cannot read generator config: {exc}")
     except (CatalogError, CalibrationError, TypeError) as exc:
         return _fail(EXIT_VALIDATION, str(exc))
 
@@ -151,8 +160,8 @@ def cmd_run(args) -> int:
         return EXIT_OK
 
     out_dir = merged.get("out_dir")
-    if not out_dir:
-        return _fail(EXIT_VALIDATION, "run config needs an out_dir")
+    if not out_dir or not isinstance(out_dir, str):
+        return _fail(EXIT_VALIDATION, "run config needs an out_dir path")
 
     progress = None
     if args.progress:
@@ -163,8 +172,7 @@ def cmd_run(args) -> int:
     try:
         manifest = run_matrix(
             catalog, matrix, out_dir,
-            global_seed=int(merged.get("global_seed", 0)),
-            workers=int(merged.get("workers", 1)),
+            global_seed=global_seed, workers=workers,
             limit=args.limit, resume=args.resume, progress=progress)
     except RunnerError as exc:
         return _fail(EXIT_VALIDATION, str(exc))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import io
 import itertools
 import re
 from contextlib import contextmanager
@@ -191,6 +190,10 @@ class Catalog:
             for value in values:
                 if _UNWRITABLE.search(value):
                     raise CatalogError(f"{name} {value!r} contains a tab or line break")
+                # A file can carry NUL, but a result store cuts its log at the
+                # first NUL byte, as a crash leaves zeroed blocks.
+                if "\0" in value:
+                    raise CatalogError(f"{name} {value!r} contains NUL")
         for table, records in (("viewing", self.viewing), ("broadcast", self.broadcasts)):
             if set(map(_SUBMINUTE, records)) - {(0, 0)}:
                 r = next(r for r in records if _SUBMINUTE(r) != (0, 0))
@@ -269,6 +272,9 @@ def _format_timestamp(value: datetime) -> str:
     # isoformat zero-pads years below 1000, which strftime("%Y") does not.
     return value.isoformat(timespec="minutes")
 
+
+# Field text by exact type: bool is an int subclass, but a file says yes/no.
+_FORMATS = {str: str, int: str, bool: _format_bool, datetime: _format_timestamp}
 
 # The 16 combinations of the four survey answers, e.g. ("yes", "no", "no", "yes").
 _ANSWERS = {tuple(map(_format_bool, answers)): answers
@@ -440,43 +446,14 @@ def parse_catalog(data_dir: str | Path) -> Catalog:
 
 def serialize_tables(catalog: Catalog) -> dict[str, bytes]:
     """Render the five tables as canonical UTF-8 payloads keyed by table name."""
-    out: dict[str, bytes] = {}
-
-    buf = io.StringIO()
-    buf.write("\t".join(_HEADERS["users"]) + "\n")
-    for u in catalog.users:
-        buf.write("\t".join((u.user_id, u.age_bracket, u.sex, u.marital_status,
-                             u.parental_status, u.income_bracket)) + "\n")
-    out["users"] = buf.getvalue().encode("utf-8")
-
-    buf = io.StringIO()
-    buf.write("product_id\n")
-    for p in catalog.products:
-        buf.write(p + "\n")
-    out["products"] = buf.getvalue().encode("utf-8")
-
-    buf = io.StringIO()
-    buf.write("\t".join(_HEADERS["survey"]) + "\n")
-    for r in catalog.responses:
-        buf.write("\t".join((r.user_id, r.product_id,
-                             _format_bool(r.pi_jan), _format_bool(r.pi_mar),
-                             _format_bool(r.ap_jan), _format_bool(r.ap_mar))) + "\n")
-    out["survey"] = buf.getvalue().encode("utf-8")
-
-    buf = io.StringIO()
-    buf.write("\t".join(_HEADERS["viewing"]) + "\n")
-    for v in catalog.viewing:
-        buf.write("\t".join((v.user_id, _format_timestamp(v.start),
-                             str(v.duration_s), v.channel)) + "\n")
-    out["viewing"] = buf.getvalue().encode("utf-8")
-
-    buf = io.StringIO()
-    buf.write("\t".join(_HEADERS["broadcasts"]) + "\n")
-    for b in catalog.broadcasts:
-        buf.write("\t".join((b.product_id, _format_timestamp(b.start),
-                             str(b.duration_s), b.channel)) + "\n")
-    out["broadcasts"] = buf.getvalue().encode("utf-8")
-
+    tables = {"users": map(attrgetter(*_HEADERS["users"]), catalog.users),
+              "products": zip(catalog.products), "survey": catalog.responses,
+              "viewing": catalog.viewing, "broadcasts": catalog.broadcasts}
+    out = {}
+    for name, rows in tables.items():
+        lines = ["\t".join([_FORMATS[type(value)](value) for value in row])
+                 for row in (_HEADERS[name], *rows)]
+        out[name] = ("\n".join(lines) + "\n").encode("utf-8")
     return out
 
 

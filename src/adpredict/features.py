@@ -29,6 +29,7 @@ from .targets import Behavior
 
 
 class InputKind(Enum):
+    # Declaration order is the column order of the reported average tables.
     VIEW_WEEKDAY_SLOT = "view_weekday_slot"
     VIEW_WEEKDAY = "view_weekday"
     DEMOGRAPHICS = "demographics"
@@ -49,14 +50,7 @@ class InputKind(Enum):
         return self in (InputKind.VIEW_WEEKDAY_SLOT, InputKind.VIEW_WEEKDAY_SLOT_DEMO)
 
 
-# Column order of the reported average tables.
-INPUT_KIND_ORDER = (
-    InputKind.VIEW_WEEKDAY_SLOT,
-    InputKind.VIEW_WEEKDAY,
-    InputKind.DEMOGRAPHICS,
-    InputKind.VIEW_WEEKDAY_SLOT_DEMO,
-    InputKind.VIEW_WEEKDAY_DEMO,
-)
+INPUT_KIND_ORDER = tuple(InputKind)
 
 
 class FeatureError(ValueError):
@@ -76,6 +70,7 @@ class InputConfig:
 
 
 class BaseKind(Enum):
+    # Declaration order is the report order: product bases before user bases.
     PRODUCT_BASED = "product"
     USER_BASED = "user"
 

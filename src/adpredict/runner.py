@@ -112,8 +112,7 @@ class MatrixConfig:
     users: tuple[str, ...] | str = "all"
     configs: tuple[InputKind, ...] = INPUT_KIND_ORDER
     pi_feature_states: str = "both"  # "both" | "off" | "on"
-    behaviors: tuple[Behavior, ...] = (Behavior.ACTUAL_PURCHASE,
-                                       Behavior.PURCHASE_INTENTION)
+    behaviors: tuple[Behavior, ...] = tuple(Behavior)
     categories: tuple[int, ...] = CATEGORIES
     k: int = 5
     accounting: str = "canonical"  # "canonical" | "expanded"
@@ -251,27 +250,17 @@ def matrix_counts(matrix: MatrixConfig, n_product_bases: int,
 # Execution.
 # ---------------------------------------------------------------------------
 
-_WORKER: dict = {}
+_WORKER: dict = {}  # the run's panel and learner parameters
 
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 
-def _init_worker(panel: Panel, params: LearnerParams, global_seed: int,
-                 store_lock: int | None = None) -> None:
-    """Hold the run's inputs for ``_execute_spec``. ``store_lock`` is given
-    only in a forked pool worker: it closes its copy of the lock and dies
-    with the run, since SIGKILL reaches only the run's own process and an
-    orphaned worker would block on the call queue for good."""
-    if store_lock is not None:
-        os.close(store_lock)
-        _exit_with_run()
-    _WORKER["panel"] = panel
-    _WORKER["params"] = params
-    _WORKER["global_seed"] = global_seed
-
-
-def _exit_with_run() -> None:
-    """Have the kernel SIGKILL this worker once its parent, the run, is gone."""
+def _detach_from_run(store_lock: int) -> None:
+    """Pool initializer: close the forked worker's copy of the store lock and
+    have the kernel SIGKILL the worker once its parent, the run, is gone.
+    SIGKILL reaches only the run's own process, and an orphaned worker would
+    block on the call queue for good."""
+    os.close(store_lock)
     prctl = ctypes.CDLL(None, use_errno=True).prctl
     prctl.argtypes = (ctypes.c_int,) + (ctypes.c_ulong,) * 4
     prctl.restype = ctypes.c_int
@@ -281,10 +270,9 @@ def _exit_with_run() -> None:
         os._exit(1)
 
 
-def _execute_spec(spec: ExperimentSpec) -> tuple[str, str]:
+def _execute_spec(spec: ExperimentSpec, seed: int) -> tuple[str, str]:
     """Run one experiment; returns (status, payload), where the payload is
     the last five columns of its log row, ``error`` through ``folds``."""
-    seed = spec_seed(_WORKER["global_seed"], spec.spec_id)
     try:
         panel = _WORKER["panel"]
         X = build_matrix(panel, spec.base, spec.config, spec.behavior)
@@ -339,7 +327,8 @@ def run_matrix(catalog: Catalog, matrix: MatrixConfig, out_dir: str | Path,
     if exposure is None:
         exposure = compute_exposure(list(catalog.viewing), list(catalog.broadcasts))
     specs = enumerate_experiments(catalog, matrix)
-    heads = [_row_head(spec, spec_seed(global_seed, spec.spec_id)) for spec in specs]
+    seeds = [spec_seed(global_seed, spec.spec_id) for spec in specs]
+    heads = list(map(_row_head, specs, seeds))
     identity = {"global_seed": global_seed, "fingerprint": catalog.fingerprint(),
                 "matrix": matrix.to_dict(), "spec_count": len(specs)}
 
@@ -353,23 +342,22 @@ def run_matrix(catalog: Catalog, matrix: MatrixConfig, out_dir: str | Path,
         done = _open_store(out_dir, identity, heads, resume)
         remaining = specs[done:] if limit is None else specs[done:done + limit]
         started = time.time()
-        panel = Panel.build(catalog, exposure)
+        # Pool workers are forked, so they inherit these inputs.
+        _WORKER.update(panel=Panel.build(catalog, exposure), params=matrix.learner_params)
+        stack.callback(_WORKER.clear)  # the run's panel is not kept past it
         sink = stack.enter_context((out_dir / RESULTS_FILE).open("a", encoding="utf-8"))
         if workers <= 1 or len(remaining) <= 1:
-            stack.callback(_WORKER.clear)  # the run's panel is not kept past it
-            _init_worker(panel, matrix.learner_params, global_seed)
-            outcomes = map(_execute_spec, remaining)
+            outcomes = map(_execute_spec, remaining, seeds[done:])
         else:
-            chunk = max(1, min(32, len(remaining) // (workers * 4) or 1))
+            chunk = min(32, len(remaining) // (workers * 4) or 1)
             # Forked, whatever the default start method: each worker is a
             # child of the run, holding a copy of its lock to close.
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_worker,
-                initargs=(panel, matrix.learner_params, global_seed, lock)))
+                initializer=_detach_from_run, initargs=(lock,)))
             # map() yields in submission order, which keeps the log bytes
             # independent of completion order.
-            outcomes = pool.map(_execute_spec, remaining, chunksize=chunk)
+            outcomes = pool.map(_execute_spec, remaining, seeds[done:], chunksize=chunk)
         for index, (status, payload) in enumerate(outcomes, start=done):
             sink.write(f"{heads[index]}\t{status}\t{payload}\n")
             sink.flush()
@@ -394,10 +382,19 @@ def run_matrix(catalog: Catalog, matrix: MatrixConfig, out_dir: str | Path,
 # ---------------------------------------------------------------------------
 
 def _write_atomic(path: Path, text: str) -> None:
-    """Replace ``path`` with ``text`` so that a reader sees old or new, never half."""
+    """Replace ``path`` with ``text`` so that a reader sees old or new, never
+    half, and the new bytes survive a power loss once this returns."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with tmp.open("w", encoding="utf-8") as f:
+        f.write(text)
+        f.flush()
+        os.fsync(f.fileno())
     os.replace(tmp, path)
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)  # makes the rename itself durable
+    finally:
+        os.close(directory)
 
 
 def _open_store(out_dir: Path, identity: dict, heads: list[str], resume: bool) -> int:
@@ -434,11 +431,13 @@ def _open_store(out_dir: Path, identity: dict, heads: list[str], resume: bool) -
     return len(rows)
 
 
-def _read_lines(path: Path) -> tuple[list[str], int]:
+def _read_lines(path: Path, nul_ends: bool = False) -> tuple[list[str], int]:
     """The complete lines of a store file, without their newlines, and their
-    byte length; bytes that are not UTF-8 raise StoreError with the line."""
+    byte length; bytes that are not UTF-8 raise StoreError with the line.
+    With ``nul_ends``, the lines end before the one that holds the first NUL."""
     data = path.read_bytes()
-    end = data.rfind(b"\n") + 1
+    nul = data.find(b"\0") if nul_ends else -1
+    end = data.rfind(b"\n", 0, len(data) if nul < 0 else nul) + 1
     try:
         return data[:end].decode("utf-8").split("\n")[:-1], end
     except UnicodeDecodeError as exc:
@@ -452,11 +451,14 @@ def _read_log(path: Path, heads: Sequence[str]) -> tuple[list[list[str]], int]:
 
     Row k must open with ``heads[k]``, the identity columns of spec k, so
     the log is a prefix of the enumeration. A partial final line is an
-    interrupted append; it is not a row.
+    interrupted append; it is not a row. Neither is anything from the line
+    that holds the first NUL byte on: a crash can leave zeroed blocks in
+    the log, even before rows written later. No valid row holds a NUL,
+    since ``Catalog`` refuses it in every id.
     """
     if not path.exists():
         raise StoreError(f"missing results log {path}")
-    lines, end = _read_lines(path)
+    lines, end = _read_lines(path, nul_ends=True)
     if not lines or tuple(lines[0].split("\t")) != _RESULT_COLUMNS:
         raise StoreError(f"{path}: bad or missing header")
     rows = []

@@ -199,9 +199,9 @@ def aggregate(records: Iterable["ScoreRecord"],
 
 _CONFIG_COLUMNS = tuple(kind.value for kind in INPUT_KIND_ORDER)
 
-_BEHAVIOR_ORDER = (Behavior.ACTUAL_PURCHASE, Behavior.PURCHASE_INTENTION)
+_BEHAVIOR_ORDER = tuple(Behavior)
 
-_BASE_KIND_ORDER = (BaseKind.PRODUCT_BASED.value, BaseKind.USER_BASED.value)
+_BASE_KIND_ORDER = tuple(kind.value for kind in BaseKind)
 
 
 def _report_order(model_kind: str, base_kind: str, *rest) -> tuple:

@@ -154,7 +154,8 @@ def solve_intercept(scores: np.ndarray, target: float,
 
 
 def _persistence_for(behavior: Behavior, config: GenConfig,
-                     rates: tuple[float, float, float, float]) -> float:
+                     rates: tuple[float, float, float, float]) -> tuple[float, float, float]:
+    """The wave-1 rate r1, the persistence rho and the wave-2 fresh rate q2."""
     configured = config.wave_persistence.get(behavior)
     f0, _, f2, f3 = rates
     r1 = f0 + f3
@@ -174,7 +175,7 @@ def _persistence_for(behavior: Behavior, config: GenConfig,
     if not 0.0 < q2 < 1.0:
         raise CalibrationError(
             f"infeasible wave-2 fresh rate {q2:.3f} for {behavior.value}")
-    return rho
+    return r1, rho, q2
 
 
 def _structure(config: GenConfig, rng: np.random.Generator):
@@ -272,11 +273,7 @@ def generate_panel(config: GenConfig) -> Catalog:
     answers: dict[Behavior, tuple[np.ndarray, np.ndarray]] = {}
     for behavior in (Behavior.ACTUAL_PURCHASE, Behavior.PURCHASE_INTENTION):
         rates = _normalized_rates(config.base_rates[behavior])
-        f0, _, f2, f3 = rates
-        r1 = f0 + f3
-        r2 = f2 + f3
-        rho = _persistence_for(behavior, config, rates)
-        q2 = (r2 - rho * r1) / (1.0 - rho)
+        r1, rho, q2 = _persistence_for(behavior, config, rates)
         calib_scores = scores[matched_mask]
         alpha1 = solve_intercept(calib_scores, r1)
         alpha2 = solve_intercept(calib_scores, q2)

@@ -22,6 +22,7 @@ import numpy as np
 
 
 class Behavior(Enum):
+    # Declaration order is the report order and the default matrix order.
     ACTUAL_PURCHASE = "actual_purchase"
     PURCHASE_INTENTION = "purchase_intention"
 

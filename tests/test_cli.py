@@ -205,6 +205,31 @@ def test_run_refuses_negative_limit(panel_dir, tmp_path):
     assert not store.exists()
 
 
+@pytest.mark.parametrize("config, dry_run, code", [
+    pytest.param({"matrix": dict(MATRIX, colour="red")}, False, 3, id="matrix key"),
+    pytest.param({"matrix": dict(MATRIX, learner_params={"svm_cc": 1})}, False, 3,
+                 id="learner_params key"),
+    pytest.param({"matrix": dict(MATRIX, k="5")}, False, 3, id="string k"),
+    pytest.param({"workers": "x"}, False, 3, id="string workers"),
+    pytest.param({"matrix": MATRIX, "assume_product_bases": "36",
+                  "assume_user_bases": 20}, True, 3, id="string base count"),
+    pytest.param([1], False, 2, id="JSON array"),
+    pytest.param({"synth_config": "missing.json"}, False, 2, id="missing synth_config"),
+    pytest.param({"out_dir": 5}, False, 3, id="numeric out_dir"),
+])
+def test_run_malformed_config_exits_without_traceback(panel_dir, tmp_path, capsys,
+                                                      config, dry_run, code):
+    store = tmp_path / "store"
+    if isinstance(config, dict) and not dry_run:
+        source = {} if "synth_config" in config else {"data_dir": str(panel_dir)}
+        config = {"matrix": MATRIX, **source, "out_dir": str(store), **config}
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(config_path)] + ["--dry-run"] * dry_run) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not store.exists()
+
+
 def test_run_flag_conflict_warns_and_config_wins(panel_dir, tmp_path):
     store = tmp_path / "store"
     run_config = {
@@ -279,11 +304,11 @@ DOOMED_SPEC = runner.ExperimentSpec(
 _execute_spec = runner._execute_spec
 
 
-def _die_on_doomed_spec(spec):
+def _die_on_doomed_spec(spec, seed):
     """Worker body that ends its process abruptly, as the OOM killer would."""
     if spec.spec_id == DOOMED_SPEC:
         os._exit(1)
-    return _execute_spec(spec)
+    return _execute_spec(spec, seed)
 
 
 def test_run_dead_worker_exits_execution_then_resumes(panel_dir, tmp_path,

@@ -142,6 +142,12 @@ def test_serialized_tables_have_sorted_rows(tiny_catalog):
     survey_lines = tables["survey"].decode().splitlines()[1:]
     keys = [tuple(line.split("\t")[:2]) for line in survey_lines]
     assert keys == sorted(keys)
+    # Tables without rows still carry their header.
+    silent = Catalog.build(tiny_catalog.users, tiny_catalog.products,
+                           tiny_catalog.responses, [], [])
+    tables = serialize_tables(silent)
+    assert tables["viewing"] == b"user_id\tstart\tduration_s\tchannel\n"
+    assert tables["broadcasts"] == b"product_id\tstart\tduration_s\tchannel\n"
 
 
 def test_fingerprint_is_memoized_and_ignored_by_equality(tiny_catalog, tmp_path):
@@ -273,6 +279,14 @@ def test_identifier_that_cannot_round_trip_rejected(tiny_catalog, field, old, ch
     tables = _tables_renamed(tiny_catalog, field, old, f"x{char}y")
     with pytest.raises(CatalogError, match="contains a tab or line break"):
         Catalog.build(*tables)
+
+
+@pytest.mark.parametrize("field, old", [("user_id", "u001"), ("product_id", "p01"),
+                                        ("channel", "ch1")])
+def test_identifier_with_nul_rejected(tiny_catalog, field, old):
+    # A result store reads a NUL byte as the start of a crash-zeroed tail.
+    with pytest.raises(CatalogError, match="contains NUL"):
+        Catalog.build(*_tables_renamed(tiny_catalog, field, old, "x\0y"))
 
 
 def test_unwritable_characters_are_the_splitlines_boundaries():

@@ -194,6 +194,51 @@ def test_resume_after_torn_row_matches_uninterrupted(small_catalog, tmp_path):
         enumerate_experiments(small_catalog, SMALL_MATRIX))
 
 
+@pytest.mark.parametrize("tail", ["NUL garbage line", "zeroed block then rows"])
+def test_resume_cuts_the_log_at_its_first_nul(small_catalog, tmp_path, tail):
+    full_dir = tmp_path / "full"
+    part_dir = tmp_path / "part"
+    run_matrix(small_catalog, SMALL_MATRIX, full_dir, global_seed=4)
+    run_matrix(small_catalog, SMALL_MATRIX, part_dir, global_seed=4, limit=7)
+    full_lines = (full_dir / RESULTS_FILE).read_bytes().splitlines(keepends=True)
+    if tail == "NUL garbage line":
+        junk = b"\0\0garbage\n"
+    else:  # after a power loss: half of the eighth row, a block that never
+        # reached the disk, then rows from the tenth on that did
+        eighth_row = full_lines[8]
+        junk = eighth_row[:len(eighth_row) // 2] + b"\0" * 4096 + b"".join(full_lines[10:])
+    with (part_dir / RESULTS_FILE).open("ab") as fh:
+        fh.write(junk)
+    records, failures = load_score_records(part_dir)
+    assert len(records) + len(failures) == 7
+    specs = enumerate_experiments(small_catalog, SMALL_MATRIX)
+    assert _resume(small_catalog, part_dir, global_seed=4) == [
+        spec.spec_id for spec in specs[7:]]
+    assert ((full_dir / RESULTS_FILE).read_bytes()
+            == (part_dir / RESULTS_FILE).read_bytes())
+
+
+def test_store_files_are_fsynced_but_rows_are_not(small_catalog, tmp_path, monkeypatch):
+    synced = []
+    fsync = os.fsync
+
+    def recording_fsync(fd):
+        synced.append(os.fstat(fd).st_ino)
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    store = tmp_path / "s"
+    run_matrix(small_catalog, SMALL_MATRIX, store, global_seed=4, limit=5)
+    inode = {name: (store / name).stat().st_ino
+             for name in (SPECS_FILE, MANIFEST_FILE, RESULTS_FILE)}
+    # specs.tsv, the final manifest and the log header once each, none for
+    # the five rows; the directory after each of the four renames; and the
+    # identity manifest that the final one replaced.
+    assert [synced.count(inode[name]) for name in inode] == [1, 1, 1]
+    assert synced.count(store.stat().st_ino) == 4
+    assert len(synced) == 8
+
+
 def test_resume_rejects_edited_specs_index(small_catalog, tmp_path):
     run_matrix(small_catalog, SMALL_MATRIX, tmp_path / "s", global_seed=4, limit=3)
     specs_path = tmp_path / "s" / SPECS_FILE
@@ -362,8 +407,10 @@ def test_negative_limit_is_refused(small_catalog, tmp_path):
     assert len(load_score_records(store)[0]) == 0
 
 
-def test_serial_run_releases_its_panel(small_catalog, tmp_path):
-    run_matrix(small_catalog, SMALL_MATRIX, tmp_path / "a", global_seed=4, limit=3)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_releases_its_panel(small_catalog, tmp_path, workers):
+    run_matrix(small_catalog, SMALL_MATRIX, tmp_path / "a", global_seed=4, limit=3,
+               workers=workers)
     assert runner._WORKER == {}
 
     def interrupt(done, total, spec_id, status):
@@ -371,7 +418,7 @@ def test_serial_run_releases_its_panel(small_catalog, tmp_path):
 
     with pytest.raises(RuntimeError, match="interrupted"):
         run_matrix(small_catalog, SMALL_MATRIX, tmp_path / "b", global_seed=4,
-                   progress=interrupt)
+                   workers=workers, progress=interrupt)
     assert runner._WORKER == {}
 
 
