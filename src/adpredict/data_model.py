@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,6 +69,16 @@ _HEADERS = {
     "survey": ("user_id", "product_id", "pi_jan", "pi_mar", "ap_jan", "ap_mar"),
     "viewing": ("user_id", "start", "duration_s", "channel"),
     "broadcasts": ("product_id", "start", "duration_s", "channel"),
+}
+# The exact type of each column's values. Files are written by exact type
+# (``_FORMATS``), so a subclass such as ``numpy.str_``, or a lookalike such
+# as ``numpy.bool_``, would have no text.
+_FIELD_TYPES = {
+    "users": (str,) * 6,
+    "products": (str,),
+    "survey": (str, str, bool, bool, bool, bool),
+    "viewing": (str, datetime, int, str),
+    "broadcasts": (str, datetime, int, str),
 }
 
 
@@ -175,6 +185,13 @@ class Catalog:
         return catalog
 
     def _validate(self) -> None:
+        for name, rows in _table_rows(self).items():
+            for k, (column, kind) in enumerate(zip(_HEADERS[name], _FIELD_TYPES[name])):
+                others = set(map(type, map(itemgetter(k), rows))) - {kind}
+                if others:
+                    found = ", ".join(sorted(map(repr, others)))
+                    raise CatalogError(f"{name} column {column} holds {found} values, "
+                                       f"not exactly {kind.__name__}")
         user_ids = [u.user_id for u in self.users]
         if len(set(user_ids)) != len(user_ids):
             raise CatalogError("duplicate user_id in users table")
@@ -444,13 +461,17 @@ def parse_catalog(data_dir: str | Path) -> Catalog:
     return Catalog.build(users, products, responses, viewing, broadcasts)
 
 
+def _table_rows(catalog: Catalog) -> dict[str, Sequence[tuple]]:
+    """The five tables of ``catalog`` as rows of fields in ``_HEADERS`` order."""
+    return {"users": list(map(attrgetter(*_HEADERS["users"]), catalog.users)),
+            "products": list(zip(catalog.products)), "survey": catalog.responses,
+            "viewing": catalog.viewing, "broadcasts": catalog.broadcasts}
+
+
 def serialize_tables(catalog: Catalog) -> dict[str, bytes]:
     """Render the five tables as canonical UTF-8 payloads keyed by table name."""
-    tables = {"users": map(attrgetter(*_HEADERS["users"]), catalog.users),
-              "products": zip(catalog.products), "survey": catalog.responses,
-              "viewing": catalog.viewing, "broadcasts": catalog.broadcasts}
     out = {}
-    for name, rows in tables.items():
+    for name, rows in _table_rows(catalog).items():
         lines = ["\t".join([_FORMATS[type(value)](value) for value in row])
                  for row in (_HEADERS[name], *rows)]
         out[name] = ("\n".join(lines) + "\n").encode("utf-8")

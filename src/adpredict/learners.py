@@ -390,8 +390,9 @@ def train_gbrt(X, y, params: LearnerParams = LearnerParams()) -> BoostedEnsemble
     split gain is 0.5*[G_L^2/(H_L+lambda) + G_R^2/(H_R+lambda) - G^2/(H+lambda)],
     a leaf weighs -G/(H+lambda), and a node splits only when the gain is
     strictly positive and both children carry hessian mass of at least
-    ``gbrt_min_child_weight``. The base score is the clamped log-odds of the
-    positive rate, which keeps single-class inputs finite.
+    ``gbrt_min_child_weight``. A node with hessian mass below twice that is
+    a leaf without a split search. The base score is the clamped log-odds of
+    the positive rate, which keeps single-class inputs finite.
     """
     X, y = _check_training_input(X, y)
     X, y = _canonical_order(X, y)
@@ -439,7 +440,9 @@ class _TreeBuilder:
         h_sum = float(self.h[mask].sum())
         weight = -g_sum / (h_sum + lam)
         m = int(mask.sum())
-        if depth >= self.params.gbrt_max_depth or m < 2:
+        # Below 2*mcw no split gives both children mcw: _best_split finds none.
+        if (depth >= self.params.gbrt_max_depth or m < 2
+                or h_sum < 2.0 * self.params.gbrt_min_child_weight):
             leaf_updates.append((mask, weight))
             return TreeNode(weight=weight)
         split = self._best_split(mask, m, g_sum, h_sum)

@@ -317,8 +317,9 @@ def run_matrix(catalog: Catalog, matrix: MatrixConfig, out_dir: str | Path,
     worker count and scheduling order never change its bytes. ``limit``
     stops after that many results (for smoke runs and resumability tests);
     ``resume`` continues an interrupted store after verifying that the
-    catalog fingerprint, matrix and seed all match the manifest. One run at
-    a time may write a store; a second one raises ``StoreError``.
+    catalog fingerprint, matrix and seed all match the manifest, and starts
+    a directory without a results log afresh. One run at a time may write a
+    store; a second one raises ``StoreError``.
     """
     if limit is not None and limit < 0:
         raise RunnerError(f"limit must be non-negative, got {limit}")
@@ -349,15 +350,15 @@ def run_matrix(catalog: Catalog, matrix: MatrixConfig, out_dir: str | Path,
         if workers <= 1 or len(remaining) <= 1:
             outcomes = map(_execute_spec, remaining, seeds[done:])
         else:
-            chunk = min(32, len(remaining) // (workers * 4) or 1)
             # Forked, whatever the default start method: each worker is a
             # child of the run, holding a copy of its lock to close.
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=workers, mp_context=multiprocessing.get_context("fork"),
                 initializer=_detach_from_run, initargs=(lock,)))
-            # map() yields in submission order, which keeps the log bytes
-            # independent of completion order.
-            outcomes = pool.map(_execute_spec, remaining, seeds[done:], chunksize=chunk)
+            # One spec per task: specs are enumerated model-major, so chunks
+            # would bunch the costly ones. map() yields in submission order,
+            # which keeps the log bytes independent of completion order.
+            outcomes = pool.map(_execute_spec, remaining, seeds[done:])
         for index, (status, payload) in enumerate(outcomes, start=done):
             sink.write(f"{heads[index]}\t{status}\t{payload}\n")
             sink.flush()
@@ -401,13 +402,21 @@ def _open_store(out_dir: Path, identity: dict, heads: list[str], resume: bool) -
     """Create or reopen the store in ``out_dir``; return its committed row count.
 
     Rows are committed in enumeration order, so the count n says that
-    exactly the first n specs have run.
+    exactly the first n specs have run. The log is created last, so a store
+    holds committed work only once it exists: without it, resume starts the
+    store afresh, whatever a crash left of ``specs.tsv`` and the manifest.
     """
     results_path = out_dir / RESULTS_FILE
     specs_path = out_dir / SPECS_FILE
     manifest_path = out_dir / MANIFEST_FILE
     specs_text = "".join(["\t".join(_SPEC_COLUMNS) + "\n"] + [head + "\n" for head in heads])
-    if resume:
+    if not results_path.exists():
+        _write_atomic(specs_path, specs_text)
+        _write_atomic(manifest_path, json.dumps(identity, indent=1) + "\n")
+        _write_atomic(results_path, "\t".join(_RESULT_COLUMNS) + "\n")
+    elif not resume:
+        raise StoreError(f"{results_path} already exists; use resume")
+    else:
         if not manifest_path.exists():
             raise StoreError(f"missing manifest {manifest_path}")
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -418,14 +427,6 @@ def _open_store(out_dir: Path, identity: dict, heads: list[str], resume: bool) -
             raise StoreError("matrix configuration or seed does not match the manifest")
         if not specs_path.exists() or specs_path.read_bytes() != specs_text.encode("utf-8"):
             raise StoreError(f"{specs_path} does not match the enumeration")
-    else:
-        if results_path.exists():
-            raise StoreError(f"{results_path} already exists; use resume")
-        _write_atomic(specs_path, specs_text)
-        _write_atomic(manifest_path, json.dumps(identity, indent=1) + "\n")
-    # The log is created last: once it exists, the store can be resumed.
-    if not results_path.exists():
-        _write_atomic(results_path, "\t".join(_RESULT_COLUMNS) + "\n")
     rows, end = _read_log(results_path, heads)
     os.truncate(results_path, end)  # appends start on a fresh row
     return len(rows)

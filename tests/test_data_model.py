@@ -323,6 +323,32 @@ def test_sub_minute_start_rejected(tiny_catalog, table, start):
                       events["viewing"], events["broadcasts"])
 
 
+# Files are written by each value's exact type, so a catalog built from
+# numpy scalars would fail only later, when it is fingerprinted or written.
+@pytest.mark.parametrize("table, field, convert", [
+    ("survey", "pi_jan", np.bool_),
+    ("survey", "product_id", np.str_),
+    ("users", "user_id", np.str_),
+    ("users", "sex", np.str_),
+    ("products", "product_id", np.str_),
+    ("viewing", "duration_s", np.int64),
+    ("broadcasts", "duration_s", bool),
+])
+def test_inexact_field_type_rejected(tiny_catalog, table, field, convert):
+    tables = {"users": list(tiny_catalog.users), "products": list(tiny_catalog.products),
+              "survey": list(tiny_catalog.responses), "viewing": list(tiny_catalog.viewing),
+              "broadcasts": list(tiny_catalog.broadcasts)}
+    rows = tables[table]
+    if table == "products":
+        rows[-1] = convert(rows[-1])
+    elif table == "users":
+        rows[-1] = dataclasses.replace(rows[-1], **{field: convert(getattr(rows[-1], field))})
+    else:
+        rows[-1] = rows[-1]._replace(**{field: convert(getattr(rows[-1], field))})
+    with pytest.raises(CatalogError, match=f"{table} column {field} holds <class '"):
+        Catalog.build(*tables.values())
+
+
 def test_parse_starts_no_collection(tmp_path, collections):
     write_catalog(generate_panel(GOLDEN_PANEL), tmp_path)
     body = getattr(parse_catalog, "__wrapped__", parse_catalog).__code__

@@ -481,6 +481,127 @@ def test_gbrt_min_child_weight_blocks_tiny_splits():
     assert ensemble.trees[0].is_leaf
 
 
+def reference_train_gbrt(X, y, params=LearnerParams(), searches=None):
+    """The booster that ``train_gbrt`` must reproduce bit for bit.
+
+    It searches for a split at every node above ``gbrt_max_depth`` that
+    holds two rows or more, whatever its hessian mass. When ``searches`` is
+    a list, each search appends (node hessian mass, whether it split).
+    """
+    lam = params.gbrt_lambda
+    mcw = params.gbrt_min_child_weight
+
+    def best_split(mask, m, g_sum, h_sum):
+        member = mask[order]
+        sorted_idx = order.T[member.T].reshape(d, m)
+        x_sorted = X[sorted_idx, np.arange(d)[:, None]]
+        g_left = np.cumsum(g[sorted_idx], axis=1)[:, :-1]
+        h_left = np.cumsum(h[sorted_idx], axis=1)[:, :-1]
+        g_right = g_sum - g_left
+        h_right = h_sum - h_left
+        valid = ((x_sorted[:, :-1] < x_sorted[:, 1:])
+                 & (h_left >= mcw) & (h_right >= mcw))
+        if not valid.any():
+            return None
+        gain = 0.5 * (g_left ** 2 / (h_left + lam) + g_right ** 2 / (h_right + lam)
+                      - g_sum * g_sum / (h_sum + lam))
+        gain[~valid] = -math.inf
+        flat = int(np.argmax(gain))
+        if not gain.flat[flat] > 0.0:
+            return None
+        feature, boundary = divmod(flat, m - 1)
+        lo = float(x_sorted[feature, boundary])
+        hi = float(x_sorted[feature, boundary + 1])
+        threshold = (lo + hi) / 2.0
+        return feature, (lo if threshold >= hi else threshold)
+
+    def grow(mask, depth):
+        g_sum = float(g[mask].sum())
+        h_sum = float(h[mask].sum())
+        weight = -g_sum / (h_sum + lam)
+        m = int(mask.sum())
+        split = None
+        if depth < params.gbrt_max_depth and m >= 2:
+            split = best_split(mask, m, g_sum, h_sum)
+            if searches is not None:
+                searches.append((h_sum, split is not None))
+        if split is None:
+            leaves.append((mask, weight))
+            return learners.TreeNode(weight=weight)
+        feature, threshold = split
+        left = mask & (X[:, feature] <= threshold)
+        right = mask & ~(X[:, feature] <= threshold)
+        return learners.TreeNode(feature=feature, threshold=threshold,
+                                 left=grow(left, depth + 1), right=grow(right, depth + 1))
+
+    X, y = learners._check_training_input(X, y)
+    X, y = reference_canonical_order(X, y)
+    n, d = X.shape
+    rate = min(max(float(y.mean()), learners._PROB_CLAMP), 1.0 - learners._PROB_CLAMP)
+    base_score = math.log(rate / (1.0 - rate))
+    raw = np.full(n, base_score)
+    order = np.argsort(X, axis=0, kind="stable")
+    trees = []
+    for _ in range(params.gbrt_n_estimators):
+        p = reference_sigmoid(raw)
+        g = p - y
+        h = p * (1.0 - p)
+        leaves = []
+        trees.append(grow(np.ones(n, dtype=bool), 0))
+        for mask, weight in leaves:
+            raw[mask] += params.gbrt_learning_rate * weight
+    return learners.BoostedEnsemble(trees=trees, learning_rate=params.gbrt_learning_rate,
+                                    base_score=base_score, n_features=d)
+
+
+def gbrt_to_hex(ensemble) -> list:
+    """Every tree as nested tuples, with each float as ``float.hex``."""
+    def node(t):
+        if t.is_leaf:
+            return float(t.weight).hex()
+        return (t.feature, float(t.threshold).hex(), node(t.left), node(t.right))
+    return [float(ensemble.base_score).hex()] + [node(t) for t in ensemble.trees]
+
+
+def gbrt_oracle_cases(rng):
+    """(X, y) shaped like the folds of the experiment matrix: 4- and 5-row
+    user bases, tied one-hot and mostly-zero columns, single-class labels."""
+    for n in (4, 5):
+        for _ in range(3):
+            yield random_instance(rng, n, 6, positive_rate=0.5)
+            X = np.abs(random_instance(rng, n, 6)[0]) * 3000.0
+            X[rng.random(X.shape) < 0.7] = 0.0  # mostly zero
+            yield X, rng.integers(0, 2, size=n)
+        yield rng.normal(size=(n, 3)), np.ones(n)
+    for n in (29, 160):
+        X = np.zeros((n, 13))
+        X[np.arange(n), rng.integers(0, 5, size=n)] = 1.0  # one-hot demographics
+        X[:, 5:] = np.abs(rng.normal(size=(n, 8))) * 500.0
+        X[:, 5:][rng.random((n, 8)) < 0.8] = 0.0  # mostly zero exposure
+        yield X, (rng.random(n) < 0.3).astype(np.int64)
+        yield X, np.zeros(n)
+    X, y = random_instance(rng, 12, 3)  # duplicate rows with conflicting labels
+    yield np.vstack([X, X, X[:5]]), np.concatenate([y, y, 1 - y[:5]])
+
+
+def test_gbrt_matches_reference_booster_bit_for_bit():
+    rng = np.random.default_rng(83)
+    cases = list(gbrt_oracle_cases(rng))
+    searches = []
+    for mcw in (0.0, 0.5, 1.0, 5.0):
+        params = LearnerParams(gbrt_n_estimators=20, gbrt_min_child_weight=mcw)
+        for X, y in cases:
+            found = []
+            expected = reference_train_gbrt(X, y, params, found)
+            actual = train_gbrt(X, y, params)
+            assert gbrt_to_hex(actual) == gbrt_to_hex(expected)
+            assert model_to_text(actual) == model_to_text(expected)
+            searches += [(h_sum < 2.0 * mcw, split) for h_sum, split in found]
+    # Searches the trainer skips exist, and none of them found a split.
+    assert (True, False) in searches and (True, True) not in searches
+    assert (False, True) in searches
+
+
 # ---------------------------------------------------------------------------
 # Shared behavior
 # ---------------------------------------------------------------------------

@@ -218,6 +218,29 @@ def test_resume_cuts_the_log_at_its_first_nul(small_catalog, tmp_path, tail):
             == (part_dir / RESULTS_FILE).read_bytes())
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("state", ["specs.tsv only", "specs.tsv and manifest"])
+def test_resume_without_a_log_starts_afresh(small_catalog, tmp_path, state, workers):
+    full = tmp_path / "full"
+    manifest = run_matrix(small_catalog, SMALL_MATRIX, full, global_seed=4)
+    # What a crash before the log's rename leaves: the files renamed into
+    # place so far, and the temporary file of the next one.
+    store = tmp_path / "crashed"
+    store.mkdir()
+    (store / SPECS_FILE).write_bytes((full / SPECS_FILE).read_bytes())
+    if state == "specs.tsv only":
+        (store / (MANIFEST_FILE + ".tmp")).write_text('{"global_se')
+    else:
+        identity = {key: manifest[key]
+                    for key in ("global_seed", "fingerprint", "matrix", "spec_count")}
+        (store / MANIFEST_FILE).write_text(json.dumps(identity, indent=1) + "\n")
+        (store / (RESULTS_FILE + ".tmp")).write_text("spec_id\tmod")
+    run_matrix(small_catalog, SMALL_MATRIX, store, global_seed=4, workers=workers,
+               resume=True)
+    for name in (RESULTS_FILE, SPECS_FILE):
+        assert (store / name).read_bytes() == (full / name).read_bytes()
+
+
 def test_store_files_are_fsynced_but_rows_are_not(small_catalog, tmp_path, monkeypatch):
     synced = []
     fsync = os.fsync
