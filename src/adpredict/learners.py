@@ -21,6 +21,11 @@ MODEL_KINDS = ("svm", "gbrt", "logreg")
 
 _PROB_CLAMP = 1e-6
 
+# Memory one fit may spend on cached arrays: SVM kernel rows, GBRT node
+# layouts. The least recently used entry goes first. Entries are pure
+# functions of the fit's inputs, so the budget never changes a result bit.
+_FIT_CACHE_BYTES = 32 << 20
+
 
 class LearnerError(ValueError):
     """Invalid training or prediction input."""
@@ -159,13 +164,6 @@ def _constant_model_for(label: float, kind: str, dims: int) -> LinearModel:
 # with an equality constraint, selecting the maximal-violating pair.
 # ---------------------------------------------------------------------------
 
-# Memory one SVM fit may spend on cached kernel rows. Each cached row k holds
-# K[k, :] = X @ X[k] and the second-order denominators against k, 16 bytes
-# per training row; the least recently used row goes first. Rows are pure
-# functions of (X, k), so the budget never changes a result bit.
-_SVM_ROW_CACHE_BYTES = 32 << 20
-
-
 def train_svm(X, y, params: LearnerParams = LearnerParams(),
               epoch_callback=None) -> LinearModel:
     """Max-margin hinge-loss linear classifier trained through the dual.
@@ -183,11 +181,11 @@ def train_svm(X, y, params: LearnerParams = LearnerParams(),
     The optimality state is kept up to date between pair updates, as in
     SVMlight (Joachims, 1999): the decision values shift by two kernel
     rows, and the bound masks change only at the two updated rows. Kernel
-    rows ``X @ X[k]`` and their second-order denominators are cached per
-    fit within ``_SVM_ROW_CACHE_BYTES`` (least recently used row evicted
-    first), so one pair update costs a fixed handful of array operations.
-    An evicted row is recomputed by the same expression, so the model does
-    not depend on the budget.
+    rows ``X @ X[k]`` and their second-order denominators (16 bytes per
+    training row) are cached per fit within ``_FIT_CACHE_BYTES`` (least
+    recently used row evicted first), so one pair update costs a fixed
+    handful of array operations. An evicted row is recomputed by the same
+    expression, so the model does not depend on the budget.
 
     ``epoch_callback(epoch_index, dual_value)`` is invoked once per epoch
     with the minimization-form dual objective, which decreases
@@ -226,7 +224,7 @@ def train_svm(X, y, params: LearnerParams = LearnerParams(),
     decisions = np.zeros(n)
     neg_yg = t - decisions
     rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    max_rows = max(2, _SVM_ROW_CACHE_BYTES // (16 * n))
+    max_rows = max(2, _FIT_CACHE_BYTES // (16 * n))
 
     def kernel_row(k: int) -> tuple[np.ndarray, np.ndarray]:
         hit = rows.pop(k, None)
@@ -420,12 +418,24 @@ def train_gbrt(X, y, params: LearnerParams = LearnerParams()) -> BoostedEnsemble
 
 
 class _TreeBuilder:
+    """Grows the trees of one fit.
+
+    A node's layout is its rows in per-feature sorted order plus the flat
+    positions ``f * m + b`` of its candidate boundaries, those between
+    distinct adjacent values. It depends on the node's row set alone, which
+    later rounds often search again, so layouts are cached per fit within
+    ``_FIT_CACHE_BYTES``, keyed by the node mask (least recently used
+    first out). An evicted layout is recomputed by the same expressions.
+    """
+
     def __init__(self, X: np.ndarray, order: np.ndarray, params: LearnerParams):
         self.X = X
         self.order = order
         self.params = params
         self.g: np.ndarray | None = None
         self.h: np.ndarray | None = None
+        self.layouts: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        self.layout_bytes = 0
 
     def build(self, g: np.ndarray, h: np.ndarray):
         self.g, self.h = g, h
@@ -439,7 +449,7 @@ class _TreeBuilder:
         g_sum = float(self.g[mask].sum())
         h_sum = float(self.h[mask].sum())
         weight = -g_sum / (h_sum + lam)
-        m = int(mask.sum())
+        m = int(np.count_nonzero(mask))
         # Below 2*mcw no split gives both children mcw: _best_split finds none.
         if (depth >= self.params.gbrt_max_depth or m < 2
                 or h_sum < 2.0 * self.params.gbrt_min_child_weight):
@@ -450,29 +460,49 @@ class _TreeBuilder:
             leaf_updates.append((mask, weight))
             return TreeNode(weight=weight)
         feature, threshold = split
-        left_mask = mask & (self.X[:, feature] <= threshold)
-        right_mask = mask & ~(self.X[:, feature] <= threshold)
-        left = self._grow(left_mask, depth + 1, leaf_updates)
-        right = self._grow(right_mask, depth + 1, leaf_updates)
+        goes_left = self.X[:, feature] <= threshold
+        left = self._grow(mask & goes_left, depth + 1, leaf_updates)
+        right = self._grow(mask & ~goes_left, depth + 1, leaf_updates)
         return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
+
+    def _layout(self, mask: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+        key = mask.tobytes()
+        layout = self.layouts.pop(key, None)
+        if layout is None:
+            layout = self._new_layout(mask, m)
+            self.layout_bytes += len(key) + layout[0].nbytes + layout[1].nbytes
+        self.layouts[key] = layout  # now the most recently used
+        while self.layout_bytes > _FIT_CACHE_BYTES:
+            old_key = next(iter(self.layouts))
+            sorted_idx, cand = self.layouts.pop(old_key)
+            self.layout_bytes -= len(old_key) + sorted_idx.nbytes + cand.nbytes
+        return layout
+
+    def _new_layout(self, mask: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+        d = self.X.shape[1]
+        # Node rows in per-feature sorted order, shape (d, m).
+        member = mask[self.order]
+        sorted_idx = self.order.T[member.T].reshape(d, m)
+        x_sorted = self.X[sorted_idx, np.arange(d)[:, None]]
+        # nonzero lists cells feature-major, then threshold-ascending.
+        feature, boundary = np.nonzero(x_sorted[:, :-1] < x_sorted[:, 1:])
+        return sorted_idx, feature * m + boundary
 
     def _best_split(self, mask: np.ndarray, m: int, g_sum: float, h_sum: float):
         lam = self.params.gbrt_lambda
         mcw = self.params.gbrt_min_child_weight
-        d = self.X.shape[1]
+        sorted_idx, cand = self._layout(mask, m)
+        if not cand.size:
+            return None
 
-        # Node rows in per-feature sorted order, shape (d, m).
-        member = mask[self.order]
-        sorted_idx = self.order.T[member.T].reshape(d, m)
-        col = np.arange(d)[:, None]
-        x_sorted = self.X[sorted_idx, col]
-        g_left = np.cumsum(self.g[sorted_idx], axis=1)[:, :-1]
-        h_left = np.cumsum(self.h[sorted_idx], axis=1)[:, :-1]
+        # Prefix sums run over whole rows, so each candidate's sum adds the
+        # same terms in the same order, however few cells are scored.
+        g_left = self.g[sorted_idx].cumsum(axis=1).take(cand)
+        h_left = self.h[sorted_idx].cumsum(axis=1).take(cand)
         g_right = g_sum - g_left
         h_right = h_sum - h_left
 
-        valid = ((x_sorted[:, :-1] < x_sorted[:, 1:])
-                 & (h_left >= mcw) & (h_right >= mcw))
+        valid = (h_left >= mcw) & (h_right >= mcw)
         if not valid.any():
             return None
         parent_term = g_sum * g_sum / (h_sum + lam)
@@ -480,15 +510,16 @@ class _TreeBuilder:
                       + g_right ** 2 / (h_right + lam) - parent_term)
         gain[~valid] = -math.inf
 
-        # argmax scans feature-major then threshold-ascending, which realizes
-        # the tie rule: lowest feature index first, then lowest threshold.
-        flat = int(np.argmax(gain))
-        best_gain = gain.flat[flat]
-        if not best_gain > 0.0:
+        # argmax scans the candidates feature-major then threshold-ascending,
+        # which realizes the tie rule: lowest feature index first, then lowest
+        # threshold.
+        best = int(gain.argmax())
+        if not gain[best] > 0.0:
             return None
-        feature, boundary = divmod(flat, m - 1)
-        lo = float(x_sorted[feature, boundary])
-        hi = float(x_sorted[feature, boundary + 1])
+        feature, boundary = divmod(int(cand[best]), m)
+        column = self.X[:, feature]
+        lo = float(column[sorted_idx[feature, boundary]])
+        hi = float(column[sorted_idx[feature, boundary + 1]])
         threshold = (lo + hi) / 2.0
         if threshold >= hi:  # midpoint rounded up between adjacent floats
             threshold = lo

@@ -30,10 +30,12 @@ from __future__ import annotations
 
 import ctypes
 import fcntl
+import functools
 import hashlib
 import json
 import multiprocessing
 import os
+import platform
 import signal
 import time
 from collections import Counter
@@ -42,6 +44,8 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .data_model import Catalog, _collector_paused
 from .evaluation import Confusion, CvResult, FoldResult, cross_validate
@@ -298,6 +302,35 @@ def _row_head(spec: ExperimentSpec, seed: int) -> str:
         spec.behavior.value, str(spec.category), str(spec.k), str(seed)))
 
 
+def numeric_environment() -> dict:
+    """What result bits depend on besides the inputs: the Python and numpy
+    versions, the BLAS build and the kernel it picked for this CPU.
+
+    numpy's OpenBLAS is built with ``DYNAMIC_ARCH``: one install selects its
+    kernels per CPU at load time, and the build info alone does not show
+    which. ``blas_kernel`` is ``None`` when the loaded library cannot say.
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
+            "blas_kernel": _openblas_kernel()}
+
+
+@functools.cache
+def _openblas_kernel() -> str | None:
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_",
+                               None)
+        except OSError:
+            continue
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode("ascii")
+    return None
+
+
 def _spec_counts(matrix: MatrixConfig, specs: list[ExperimentSpec]) -> dict:
     """``matrix_counts`` for the bases that an enumeration covers."""
     bases = {spec.base for spec in specs}
@@ -331,7 +364,8 @@ def run_matrix(catalog: Catalog, matrix: MatrixConfig, out_dir: str | Path,
     seeds = [spec_seed(global_seed, spec.spec_id) for spec in specs]
     heads = list(map(_row_head, specs, seeds))
     identity = {"global_seed": global_seed, "fingerprint": catalog.fingerprint(),
-                "matrix": matrix.to_dict(), "spec_count": len(specs)}
+                "matrix": matrix.to_dict(), "spec_count": len(specs),
+                "environment": numeric_environment()}
 
     with ExitStack() as stack:
         lock = os.open(out_dir, os.O_RDONLY)
@@ -425,6 +459,9 @@ def _open_store(out_dir: Path, identity: dict, heads: list[str], resume: bool) -
         if (manifest["matrix"] != identity["matrix"]
                 or manifest["global_seed"] != identity["global_seed"]):
             raise StoreError("matrix configuration or seed does not match the manifest")
+        if manifest.get("environment") != identity["environment"]:
+            raise StoreError(f"numeric environment {identity['environment']} does not "
+                             f"match the manifest's {manifest.get('environment')}")
         if not specs_path.exists() or specs_path.read_bytes() != specs_text.encode("utf-8"):
             raise StoreError(f"{specs_path} does not match the enumeration")
     rows, end = _read_log(results_path, heads)

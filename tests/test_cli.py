@@ -284,6 +284,21 @@ def test_run_resume_flag_completes_interrupted_store(panel_dir, tmp_path):
             == (part_store / "results.tsv").read_bytes())
 
 
+def test_run_resume_refuses_another_numeric_environment(panel_dir, tmp_path):
+    store = tmp_path / "store"
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"data_dir": str(panel_dir), "out_dir": str(store),
+                                       "matrix": dict(MATRIX, categories=[1])}))
+    assert run_cli("run", "--config", str(config_path), "--limit", "2").returncode == 0
+    manifest = json.loads((store / "manifest.json").read_text())
+    manifest["environment"]["blas_kernel"] = "Haswell"
+    (store / "manifest.json").write_text(json.dumps(manifest))
+    result = run_cli("run", "--config", str(config_path), "--resume")
+    assert result.returncode == 3
+    assert "numeric environment" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_run_store_io_failure_exits_execution(panel_dir, tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory")

@@ -198,7 +198,7 @@ def test_svm_matches_reference_solver_bit_for_bit():
 
 def test_svm_row_cache_budget_does_not_change_bits(monkeypatch):
     # Room for two rows only: nearly every pair update evicts and recomputes.
-    monkeypatch.setattr(learners, "_SVM_ROW_CACHE_BYTES", 1)
+    monkeypatch.setattr(learners, "_FIT_CACHE_BYTES", 1)
     rng = np.random.default_rng(67)
     for scale in (1.0, 500.0):
         X, y = random_instance(rng, 40, 5)
@@ -563,43 +563,111 @@ def gbrt_to_hex(ensemble) -> list:
     return [float(ensemble.base_score).hex()] + [node(t) for t in ensemble.trees]
 
 
+def matrix_fold(rng, n):
+    X = np.zeros((n, 13))
+    X[np.arange(n), rng.integers(0, 5, size=n)] = 1.0  # one-hot demographics
+    X[:, 5:] = np.abs(rng.normal(size=(n, 8))) * 500.0
+    X[:, 5:][rng.random((n, 8)) < 0.8] = 0.0  # mostly zero exposure
+    return X
+
+
 def gbrt_oracle_cases(rng):
-    """(X, y) shaped like the folds of the experiment matrix: 4- and 5-row
-    user bases, tied one-hot and mostly-zero columns, single-class labels."""
+    """(X, y, rounds) shaped like the folds of the experiment matrix: 4- and
+    5-row user bases, tied one-hot and mostly-zero columns, single-class
+    labels; plus nodes without a candidate boundary, adjacent floats and a
+    full-size fold boosted long enough that rounds revisit row sets."""
     for n in (4, 5):
         for _ in range(3):
-            yield random_instance(rng, n, 6, positive_rate=0.5)
+            yield *random_instance(rng, n, 6, positive_rate=0.5), 20
             X = np.abs(random_instance(rng, n, 6)[0]) * 3000.0
             X[rng.random(X.shape) < 0.7] = 0.0  # mostly zero
-            yield X, rng.integers(0, 2, size=n)
-        yield rng.normal(size=(n, 3)), np.ones(n)
+            yield X, rng.integers(0, 2, size=n), 20
+        yield rng.normal(size=(n, 3)), np.ones(n), 20
     for n in (29, 160):
-        X = np.zeros((n, 13))
-        X[np.arange(n), rng.integers(0, 5, size=n)] = 1.0  # one-hot demographics
-        X[:, 5:] = np.abs(rng.normal(size=(n, 8))) * 500.0
-        X[:, 5:][rng.random((n, 8)) < 0.8] = 0.0  # mostly zero exposure
-        yield X, (rng.random(n) < 0.3).astype(np.int64)
-        yield X, np.zeros(n)
+        X = matrix_fold(rng, n)
+        yield X, (rng.random(n) < 0.3).astype(np.int64), 20
+        yield X, np.zeros(n), 20
     X, y = random_instance(rng, 12, 3)  # duplicate rows with conflicting labels
-    yield np.vstack([X, X, X[:5]]), np.concatenate([y, y, 1 - y[:5]])
+    yield np.vstack([X, X, X[:5]]), np.concatenate([y, y, 1 - y[:5]]), 20
+    # A constant column; two row patterns, each repeated with both labels,
+    # so every child of the root holds tied rows only.
+    X = np.repeat([[7.0, 0.0, 1.0], [7.0, 1.0, 0.0]], 6, axis=0)
+    yield X, np.array([0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 0, 0]), 20
+    # Adjacent floats whose midpoint rounds up to the larger one (the
+    # smaller has an odd last bit), next to a column of ordinary values.
+    lo = np.nextafter(1.0, 2.0)
+    y = (rng.random(10) < 0.5).astype(np.int64)
+    y[:2] = (0, 1)
+    X = np.column_stack([np.where(y == 1, np.nextafter(lo, 2.0), lo),
+                         rng.normal(size=10)])
+    yield X, y, 20
+    yield matrix_fold(rng, 160), (rng.random(160) < 0.3).astype(np.int64), 100
 
 
-def test_gbrt_matches_reference_booster_bit_for_bit():
+def spy_on_layouts(monkeypatch) -> list:
+    """Record (served from the node cache, candidate count) per search."""
+    lookups = []
+    layout = learners._TreeBuilder._layout
+
+    def spy(builder, mask, m):
+        cached = mask.tobytes() in builder.layouts
+        sorted_idx, cand = layout(builder, mask, m)
+        lookups.append((cached, cand.size))
+        return sorted_idx, cand
+
+    monkeypatch.setattr(learners._TreeBuilder, "_layout", spy)
+    return lookups
+
+
+def assert_same_gbrt_fit(X, y, params, searches=None):
+    expected = reference_train_gbrt(X, y, params, searches)
+    actual = train_gbrt(X, y, params)
+    assert gbrt_to_hex(actual) == gbrt_to_hex(expected)
+    assert model_to_text(actual) == model_to_text(expected)
+    return actual
+
+
+def midpoint_rounded_up(X, ensemble) -> bool:
+    """Whether some split took ``threshold = lo``: the midpoint of ``lo`` and
+    the next larger value of its column rounds up to that value."""
+    def walk(t):
+        if t.is_leaf:
+            return False
+        above = X[:, t.feature][X[:, t.feature] > t.threshold]
+        hi = above.min()
+        return (t.threshold + hi) / 2.0 >= hi or walk(t.left) or walk(t.right)
+    return any(walk(t) for t in ensemble.trees)
+
+
+def test_gbrt_matches_reference_booster_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(83)
     cases = list(gbrt_oracle_cases(rng))
-    searches = []
+    lookups = spy_on_layouts(monkeypatch)
+    searches, rounded_up = [], False
     for mcw in (0.0, 0.5, 1.0, 5.0):
-        params = LearnerParams(gbrt_n_estimators=20, gbrt_min_child_weight=mcw)
-        for X, y in cases:
+        for X, y, rounds in cases:
+            params = LearnerParams(gbrt_n_estimators=rounds, gbrt_min_child_weight=mcw)
             found = []
-            expected = reference_train_gbrt(X, y, params, found)
-            actual = train_gbrt(X, y, params)
-            assert gbrt_to_hex(actual) == gbrt_to_hex(expected)
-            assert model_to_text(actual) == model_to_text(expected)
+            del lookups[:]
+            actual = assert_same_gbrt_fit(X, y, params, found)
+            rounded_up = rounded_up or midpoint_rounded_up(X, actual)
             searches += [(h_sum < 2.0 * mcw, split) for h_sum, split in found]
+            if rounds == 100 and mcw <= 1.0:
+                assert any(cached for cached, _ in lookups)
+            if mcw == 0.0 and X.shape == (12, 3):
+                assert (False, 0) in lookups  # a search with no candidate
     # Searches the trainer skips exist, and none of them found a split.
     assert (True, False) in searches and (True, True) not in searches
     assert (False, True) in searches
+    assert rounded_up
+
+
+def test_gbrt_node_cache_budget_does_not_change_bits(monkeypatch):
+    monkeypatch.setattr(learners, "_FIT_CACHE_BYTES", 1)  # no layout fits
+    lookups = spy_on_layouts(monkeypatch)
+    for X, y, rounds in gbrt_oracle_cases(np.random.default_rng(83)):
+        assert_same_gbrt_fit(X, y, LearnerParams(gbrt_n_estimators=rounds))
+    assert lookups and not any(cached for cached, _ in lookups)
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,8 @@ def test_resume_without_a_log_starts_afresh(small_catalog, tmp_path, state, work
         (store / (MANIFEST_FILE + ".tmp")).write_text('{"global_se')
     else:
         identity = {key: manifest[key]
-                    for key in ("global_seed", "fingerprint", "matrix", "spec_count")}
+                    for key in ("global_seed", "fingerprint", "matrix", "spec_count",
+                                "environment")}
         (store / MANIFEST_FILE).write_text(json.dumps(identity, indent=1) + "\n")
         (store / (RESULTS_FILE + ".tmp")).write_text("spec_id\tmod")
     run_matrix(small_catalog, SMALL_MATRIX, store, global_seed=4, workers=workers,
@@ -428,6 +429,37 @@ def test_negative_limit_is_refused(small_catalog, tmp_path):
     manifest = run_matrix(small_catalog, SMALL_MATRIX, store, global_seed=4, limit=0)
     assert manifest["executed"] == 0
     assert len(load_score_records(store)[0]) == 0
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param({"blas_kernel": "Haswell"}, id="another kernel"),
+    pytest.param({"numpy": "1.26.4"}, id="another numpy"),
+    pytest.param(None, id="not recorded"),
+])
+def test_resume_refuses_another_numeric_environment(small_catalog, tmp_path, edit):
+    store = tmp_path / "s"
+    manifest = run_matrix(small_catalog, SMALL_MATRIX, store, global_seed=4, limit=3)
+    assert manifest["environment"] == runner.numeric_environment()
+    assert set(manifest["environment"]) == {"python", "numpy", "blas", "blas_kernel"}
+    recorded = json.loads((store / MANIFEST_FILE).read_text())
+    if edit is None:
+        del recorded["environment"]
+    else:
+        recorded["environment"].update(edit)
+    (store / MANIFEST_FILE).write_text(json.dumps(recorded))
+    log = (store / RESULTS_FILE).read_bytes()
+    with pytest.raises(StoreError, match="numeric environment"):
+        run_matrix(small_catalog, SMALL_MATRIX, store, global_seed=4, resume=True)
+    assert (store / RESULTS_FILE).read_bytes() == log
+
+
+def test_numeric_environment_without_the_kernel_symbol(monkeypatch):
+    runner._openblas_kernel.cache_clear()
+    monkeypatch.setattr(runner.ctypes, "CDLL", lambda path: object())
+    try:
+        assert runner.numeric_environment()["blas_kernel"] is None
+    finally:
+        runner._openblas_kernel.cache_clear()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
