@@ -13,6 +13,7 @@ with rare target categories such folds are routine, not errors.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,15 +54,23 @@ class LearnerParams:
     logreg_max_iter: int = 100
 
     def __post_init__(self):
-        for name in ("svm_c", "svm_tol", "gbrt_learning_rate", "gbrt_lambda",
-                     "logreg_l2", "logreg_tol"):
-            if getattr(self, name) <= 0:
-                raise LearnerError(f"{name} must be positive")
+        # A bool is an Integral, but True is neither a count nor a rate.
         for name in ("svm_max_epochs", "gbrt_max_depth", "gbrt_n_estimators",
                      "logreg_max_iter"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise LearnerError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise LearnerError(f"{name} must be at least 1")
-        if self.gbrt_min_child_weight < 0:
+        for name in ("svm_c", "svm_tol", "gbrt_learning_rate", "gbrt_lambda",
+                     "logreg_l2", "logreg_tol", "gbrt_min_child_weight"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise LearnerError(f"{name} must be a real number, got {value!r}")
+            # Written so that NaN fails too.
+            if name != "gbrt_min_child_weight" and not value > 0:
+                raise LearnerError(f"{name} must be positive")
+        if not self.gbrt_min_child_weight >= 0:
             raise LearnerError("gbrt_min_child_weight must be non-negative")
 
 
@@ -99,11 +108,27 @@ class BoostedEnsemble:
     n_features: int
 
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
+        """``base_score`` plus ``learning_rate * leaf weight`` of each tree,
+        added tree by tree.
+
+        All trees descend at once: their nodes sit in flat arrays where a
+        leaf's children are the leaf itself, and each level of the deepest
+        tree moves a (trees x rows) position array one level down. A row
+        goes left when ``x <= threshold``, so NaN goes right. The cumsum over
+        trees makes the same additions, in the same order, as adding one
+        tree at a time.
+        """
         X = _check_matrix(X, self.n_features)
-        raw = np.full(X.shape[0], self.base_score)
-        for tree in self.trees:
-            raw += self.learning_rate * apply_tree(tree, X)
-        return raw
+        feature, threshold, left, right, weight, roots, depth = _flatten(self.trees)
+        cols = np.arange(X.shape[0])
+        pos = roots[:, None]
+        for _ in range(depth):
+            goes_left = X[cols, feature[pos]] <= threshold[pos]
+            pos = np.where(goes_left, left[pos], right[pos])
+        chain = np.empty((len(self.trees) + 1, X.shape[0]))
+        chain[0] = self.base_score
+        np.multiply(self.learning_rate, weight[pos], out=chain[1:])
+        return chain.cumsum(axis=0)[-1]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self.raw_scores(X))
@@ -209,20 +234,22 @@ def train_svm(X, y, params: LearnerParams = LearnerParams(),
 
     up, low = (mask.tolist() for mask in bound_sets(np.zeros(n)))
     n_up, n_low = sum(up), sum(low)
-    # Adding a penalty of 0 inside the set and -inf (up) or +inf (low)
-    # outside masks a full-length scan; argmax and argmin then keep the
-    # first-index tie rule of a scan over the ascending members.
-    up_pen = np.where(up, 0.0, -math.inf)
-    low_pen = np.where(low, 0.0, math.inf)
+    # Set-masked labels: t on the up set and -inf off it (t_up), t on the
+    # low set and +inf off it (t_low). Then t_up - decisions is -t * grad on
+    # the up set and -inf elsewhere, so one full-length scan finds the
+    # maximal violator, and argmax and argmin keep the first-index tie rule
+    # of a scan over the ascending members.
+    t_up = np.where(up, t, -math.inf)
+    t_low = np.where(low, t, math.inf)
     # Scalar bookkeeping runs on Python floats, which round like float64.
     sq_norms = np.einsum("ij,ij->i", X, X)
     alpha, signs, sq = [0.0] * n, t.tolist(), sq_norms.tolist()
     # Decision values are maintained incrementally; each pair update shifts
-    # them by step * (K[:, i] - K[:, j]). neg_yg = -t * grad = t - decisions,
-    # bit for bit for labels of +-1 up to the sign of a zero, which no
-    # comparison or step below can see.
+    # them by step * (K[:, i] - K[:, j]). -t * grad = t - decisions, bit for
+    # bit for labels of +-1 up to the sign of a zero, which no comparison
+    # or step below can see.
     decisions = np.zeros(n)
-    neg_yg = t - decisions
+    up_vals, low_vals, violation, gains, delta = (np.empty(n) for _ in range(5))
     rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     max_rows = max(2, _FIT_CACHE_BYTES // (16 * n))
 
@@ -236,29 +263,48 @@ def train_svm(X, y, params: LearnerParams = LearnerParams(),
         rows[k] = hit
         return hit
 
+    # The weights are not read between epochs, so each update only records
+    # (step, i, j); fold_weights adds the increments step * (X[i] - X[j]) to
+    # w in update order, by one sequential cumsum: the same chain of
+    # additions as adding them one at a time.
     w = np.zeros(d)
+    steps: list[float] = []
+    firsts: list[int] = []
+    seconds: list[int] = []
+
+    def fold_weights(w: np.ndarray) -> np.ndarray:
+        if not steps:
+            return w
+        chain = np.empty((len(steps) + 1, d))
+        chain[0] = w
+        np.multiply(np.array(steps)[:, None], X[firsts] - X[seconds], out=chain[1:])
+        del steps[:], firsts[:], seconds[:]
+        return chain.cumsum(axis=0)[-1].copy()
 
     for update in range(params.svm_max_epochs * n):
-        if epoch_callback is not None and update % n == 0:
-            epoch_callback(update // n, 0.5 * float(w @ w) - float(np.sum(alpha)))
+        if update % n == 0:
+            w = fold_weights(w)
+            if epoch_callback is not None:
+                epoch_callback(update // n, 0.5 * float(w @ w) - float(np.sum(alpha)))
         if not n_up or not n_low:
             break
-        i = int((neg_yg + up_pen).argmax())
-        low_neg_yg = neg_yg + low_pen
-        m_val = float(neg_yg[i])
-        if m_val - float(low_neg_yg[low_neg_yg.argmin()]) <= params.svm_tol:
+        np.subtract(t_up, decisions, out=up_vals)
+        np.subtract(t_low, decisions, out=low_vals)
+        i = int(up_vals.argmax())
+        m_val = float(up_vals[i])
+        if m_val - float(low_vals[low_vals.argmin()]) <= params.svm_tol:
             break
 
         k_i, quad_i = kernel_row(i)
-        violation = m_val - low_neg_yg
-        gains = np.where(violation > 0, violation * violation / quad_i, -math.inf)
-        j = int(gains.argmax())
+        np.subtract(m_val, low_vals, out=violation)
+        j = _second_order_partner(violation, quad_i, gains)
 
         # Feasible direction: alpha_i moves by t_i*step, alpha_j by -t_j*step.
+        # j lies in the low set, so low_vals[j] is -t_j * grad_j.
         hi_i = (c - alpha[i]) if signs[i] > 0 else alpha[i]
         hi_j = alpha[j] if signs[j] > 0 else (c - alpha[j])
         quad = max(sq[i] + sq[j] - 2.0 * float(k_i[j]), tau)
-        step = min((m_val - float(neg_yg[j])) / quad, min(hi_i, hi_j))
+        step = min((m_val - float(low_vals[j])) / quad, min(hi_i, hi_j))
         if step <= 0:
             break
         alpha[i] = min(max(alpha[i] + signs[i] * step, 0.0), c)
@@ -267,15 +313,22 @@ def train_svm(X, y, params: LearnerParams = LearnerParams(),
             a, s = alpha[k], signs[k]
             is_up = (s > 0 and a < c - eps) or (s < 0 and a > eps)
             is_low = (s < 0 and a < c - eps) or (s > 0 and a > eps)
-            n_up += is_up - up[k]
-            n_low += is_low - low[k]
-            up[k], low[k] = is_up, is_low
-            up_pen[k] = 0.0 if is_up else -math.inf
-            low_pen[k] = 0.0 if is_low else math.inf
-        decisions += step * (k_i - kernel_row(j)[0])
-        np.subtract(t, decisions, out=neg_yg)
-        w += step * (X[i] - X[j])
+            if is_up != up[k]:
+                up[k] = is_up
+                n_up += 1 if is_up else -1
+                t_up[k] = s if is_up else -math.inf
+            if is_low != low[k]:
+                low[k] = is_low
+                n_low += 1 if is_low else -1
+                t_low[k] = s if is_low else math.inf
+        np.subtract(k_i, kernel_row(j)[0], out=delta)
+        delta *= step
+        decisions += delta
+        steps.append(step)
+        firsts.append(i)
+        seconds.append(j)
 
+    w = fold_weights(w)
     alpha = np.array(alpha)
     if epoch_callback is not None:
         epoch_callback(-1, 0.5 * float(w @ w) - float(alpha.sum()))
@@ -288,6 +341,25 @@ def train_svm(X, y, params: LearnerParams = LearnerParams(),
     else:
         bias = 0.0
     return LinearModel(weights=w, bias=float(bias), kind="svm")
+
+
+def _second_order_partner(violation: np.ndarray, quad: np.ndarray,
+                          gains: np.ndarray) -> int:
+    """First index of the largest gain ``v * v / quad`` over ``v > 0``.
+
+    ``gains`` is scratch space. ``|v| * v`` equals ``v * v`` where v > 0 and
+    is not positive elsewhere (off the low set v is -inf), so a positive
+    winner is the winner of the masked form. NaN, or a positive gain that
+    underflows to 0, falls back to that form.
+    """
+    np.abs(violation, out=gains)
+    gains *= violation
+    gains /= quad
+    j = int(gains.argmax())
+    if not gains[j] > 0:
+        j = int(np.where(violation > 0, violation * violation / quad,
+                         -math.inf).argmax())
+    return j
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +476,16 @@ def train_gbrt(X, y, params: LearnerParams = LearnerParams()) -> BoostedEnsemble
     order = np.argsort(X, axis=0, kind="stable")
     builder = _TreeBuilder(X, order, params)
 
+    # The leaves of a round partition the rows, so one shift per round gives
+    # each row the single addition of its leaf's learning_rate * weight.
+    shift = np.empty(n)
     trees: list[TreeNode] = []
     for _ in range(params.gbrt_n_estimators):
         p = sigmoid(raw)
         g = p - y
         h = p * (1.0 - p)
-        tree, leaf_updates = builder.build(g, h)
-        trees.append(tree)
-        for mask, weight in leaf_updates:
-            raw[mask] += params.gbrt_learning_rate * weight
+        trees.append(builder.build(g, h, shift))
+        raw += shift
     return BoostedEnsemble(trees=trees, learning_rate=params.gbrt_learning_rate,
                            base_score=base_score, n_features=d)
 
@@ -420,12 +493,13 @@ def train_gbrt(X, y, params: LearnerParams = LearnerParams()) -> BoostedEnsemble
 class _TreeBuilder:
     """Grows the trees of one fit.
 
-    A node's layout is its rows in per-feature sorted order plus the flat
-    positions ``f * m + b`` of its candidate boundaries, those between
-    distinct adjacent values. It depends on the node's row set alone, which
-    later rounds often search again, so layouts are cached per fit within
-    ``_FIT_CACHE_BYTES``, keyed by the node mask (least recently used
-    first out). An evicted layout is recomputed by the same expressions.
+    A node is the ascending array of its row indices. Its layout is its rows
+    in per-feature sorted order plus the flat positions ``f * m + b`` of its
+    candidate boundaries, those between distinct adjacent values. It depends
+    on the node's row set alone, which later rounds often search again, so
+    layouts are cached per fit within ``_FIT_CACHE_BYTES``, keyed by the
+    row indices (least recently used first out). An evicted layout is
+    recomputed by the same expressions.
     """
 
     def __init__(self, X: np.ndarray, order: np.ndarray, params: LearnerParams):
@@ -434,42 +508,41 @@ class _TreeBuilder:
         self.params = params
         self.g: np.ndarray | None = None
         self.h: np.ndarray | None = None
+        self.shift: np.ndarray | None = None
         self.layouts: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         self.layout_bytes = 0
 
-    def build(self, g: np.ndarray, h: np.ndarray):
-        self.g, self.h = g, h
-        leaf_updates: list[tuple[np.ndarray, float]] = []
-        root_mask = np.ones(self.X.shape[0], dtype=bool)
-        tree = self._grow(root_mask, depth=0, leaf_updates=leaf_updates)
-        return tree, leaf_updates
+    def build(self, g: np.ndarray, h: np.ndarray, shift: np.ndarray) -> TreeNode:
+        """Grow one tree on (g, h); write each row's leaf step into ``shift``."""
+        self.g, self.h, self.shift = g, h, shift
+        return self._grow(np.arange(self.X.shape[0]), depth=0)
 
-    def _grow(self, mask: np.ndarray, depth: int, leaf_updates) -> TreeNode:
+    def _grow(self, rows: np.ndarray, depth: int) -> TreeNode:
         lam = self.params.gbrt_lambda
-        g_sum = float(self.g[mask].sum())
-        h_sum = float(self.h[mask].sum())
+        # rows ascend, so each sum adds the node's terms in row order.
+        g_sum = float(self.g[rows].sum())
+        h_sum = float(self.h[rows].sum())
         weight = -g_sum / (h_sum + lam)
-        m = int(np.count_nonzero(mask))
         # Below 2*mcw no split gives both children mcw: _best_split finds none.
-        if (depth >= self.params.gbrt_max_depth or m < 2
+        if (depth >= self.params.gbrt_max_depth or rows.size < 2
                 or h_sum < 2.0 * self.params.gbrt_min_child_weight):
-            leaf_updates.append((mask, weight))
-            return TreeNode(weight=weight)
-        split = self._best_split(mask, m, g_sum, h_sum)
+            split = None
+        else:
+            split = self._best_split(rows, g_sum, h_sum)
         if split is None:
-            leaf_updates.append((mask, weight))
+            self.shift[rows] = self.params.gbrt_learning_rate * weight
             return TreeNode(weight=weight)
         feature, threshold = split
-        goes_left = self.X[:, feature] <= threshold
-        left = self._grow(mask & goes_left, depth + 1, leaf_updates)
-        right = self._grow(mask & ~goes_left, depth + 1, leaf_updates)
+        goes_left = self.X[rows, feature] <= threshold
+        left = self._grow(rows[goes_left], depth + 1)
+        right = self._grow(rows[~goes_left], depth + 1)
         return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
 
-    def _layout(self, mask: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-        key = mask.tobytes()
+    def _layout(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        key = rows.tobytes()
         layout = self.layouts.pop(key, None)
         if layout is None:
-            layout = self._new_layout(mask, m)
+            layout = self._new_layout(rows)
             self.layout_bytes += len(key) + layout[0].nbytes + layout[1].nbytes
         self.layouts[key] = layout  # now the most recently used
         while self.layout_bytes > _FIT_CACHE_BYTES:
@@ -478,8 +551,11 @@ class _TreeBuilder:
             self.layout_bytes -= len(old_key) + sorted_idx.nbytes + cand.nbytes
         return layout
 
-    def _new_layout(self, mask: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-        d = self.X.shape[1]
+    def _new_layout(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        n, d = self.X.shape
+        m = rows.size
+        mask = np.zeros(n, dtype=bool)
+        mask[rows] = True
         # Node rows in per-feature sorted order, shape (d, m).
         member = mask[self.order]
         sorted_idx = self.order.T[member.T].reshape(d, m)
@@ -488,10 +564,10 @@ class _TreeBuilder:
         feature, boundary = np.nonzero(x_sorted[:, :-1] < x_sorted[:, 1:])
         return sorted_idx, feature * m + boundary
 
-    def _best_split(self, mask: np.ndarray, m: int, g_sum: float, h_sum: float):
+    def _best_split(self, rows: np.ndarray, g_sum: float, h_sum: float):
         lam = self.params.gbrt_lambda
         mcw = self.params.gbrt_min_child_weight
-        sorted_idx, cand = self._layout(mask, m)
+        sorted_idx, cand = self._layout(rows)
         if not cand.size:
             return None
 
@@ -503,8 +579,6 @@ class _TreeBuilder:
         h_right = h_sum - h_left
 
         valid = (h_left >= mcw) & (h_right >= mcw)
-        if not valid.any():
-            return None
         parent_term = g_sum * g_sum / (h_sum + lam)
         gain = 0.5 * (g_left ** 2 / (h_left + lam)
                       + g_right ** 2 / (h_right + lam) - parent_term)
@@ -512,11 +586,11 @@ class _TreeBuilder:
 
         # argmax scans the candidates feature-major then threshold-ascending,
         # which realizes the tie rule: lowest feature index first, then lowest
-        # threshold.
+        # threshold. With no valid candidate the best gain is -inf.
         best = int(gain.argmax())
         if not gain[best] > 0.0:
             return None
-        feature, boundary = divmod(int(cand[best]), m)
+        feature, boundary = divmod(int(cand[best]), rows.size)
         column = self.X[:, feature]
         lo = float(column[sorted_idx[feature, boundary]])
         hi = float(column[sorted_idx[feature, boundary + 1]])
@@ -526,20 +600,36 @@ class _TreeBuilder:
         return feature, threshold
 
 
-def apply_tree(node: TreeNode, X: np.ndarray) -> np.ndarray:
-    """Leaf weight reached by every row of X."""
-    out = np.empty(X.shape[0])
-    _apply_tree_into(node, X, np.arange(X.shape[0]), out)
-    return out
+def _flatten(trees: list[TreeNode]):
+    """Nodes of all trees in preorder as arrays (feature, threshold, left,
+    right, weight), each tree's root index, and the deepest leaf's depth."""
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    weight: list[float] = []
+    depth = 0
 
+    def add(node: TreeNode, level: int) -> int:
+        nonlocal depth
+        k = len(weight)
+        feature.append(node.feature)
+        threshold.append(node.threshold)
+        weight.append(node.weight)
+        left.append(k)
+        right.append(k)
+        if node.is_leaf:
+            depth = max(depth, level)
+        else:
+            left[k] = add(node.left, level + 1)
+            right[k] = add(node.right, level + 1)
+        return k
 
-def _apply_tree_into(node: TreeNode, X, idx: np.ndarray, out: np.ndarray) -> None:
-    if node.is_leaf:
-        out[idx] = node.weight
-        return
-    goes_left = X[idx, node.feature] <= node.threshold
-    _apply_tree_into(node.left, X, idx[goes_left], out)
-    _apply_tree_into(node.right, X, idx[~goes_left], out)
+    roots = np.array([add(tree, 0) for tree in trees], dtype=np.intp)
+    index = np.intp
+    return (np.array(feature, dtype=index), np.array(threshold),
+            np.array(left, dtype=index), np.array(right, dtype=index),
+            np.array(weight), roots, depth)
 
 
 # ---------------------------------------------------------------------------

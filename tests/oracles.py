@@ -13,7 +13,7 @@ import numpy as np
 
 from adpredict.data_model import SurveyResponse
 from adpredict.learners import (BoostedEnsemble, LinearModel, Model, TreeNode,
-                                _check_matrix, apply_tree)
+                                _check_matrix)
 from adpredict.targets import CATEGORIES, Behavior
 
 
@@ -23,6 +23,22 @@ def svm_primal_objective(weights: np.ndarray, bias: float, X: np.ndarray,
     t = 2.0 * np.asarray(y, dtype=np.float64) - 1.0
     margins = 1.0 - t * (np.asarray(X) @ weights + bias)
     return 0.5 * float(weights @ weights) + c * float(np.maximum(0.0, margins).sum())
+
+
+def apply_tree(node: TreeNode, X: np.ndarray) -> np.ndarray:
+    """Leaf weight reached by every row of X, one node at a time."""
+    out = np.empty(X.shape[0])
+    _apply_tree_into(node, X, np.arange(X.shape[0]), out)
+    return out
+
+
+def _apply_tree_into(node: TreeNode, X, idx: np.ndarray, out: np.ndarray) -> None:
+    if node.is_leaf:
+        out[idx] = node.weight
+        return
+    goes_left = X[idx, node.feature] <= node.threshold
+    _apply_tree_into(node.left, X, idx[goes_left], out)
+    _apply_tree_into(node.right, X, idx[~goes_left], out)
 
 
 def staged_raw_scores(ensemble: BoostedEnsemble, X: np.ndarray):

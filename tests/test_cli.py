@@ -209,6 +209,8 @@ def test_run_refuses_negative_limit(panel_dir, tmp_path):
     pytest.param({"matrix": dict(MATRIX, colour="red")}, False, 3, id="matrix key"),
     pytest.param({"matrix": dict(MATRIX, learner_params={"svm_cc": 1})}, False, 3,
                  id="learner_params key"),
+    pytest.param({"matrix": dict(MATRIX, learner_params={"svm_max_epochs": 2.5})}, False, 3,
+                 id="float svm_max_epochs"),
     pytest.param({"matrix": dict(MATRIX, k="5")}, False, 3, id="string k"),
     pytest.param({"workers": "x"}, False, 3, id="string workers"),
     pytest.param({"matrix": MATRIX, "assume_product_bases": "36",

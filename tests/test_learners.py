@@ -5,12 +5,12 @@ import pytest
 
 from adpredict import learners
 from adpredict.learners import (LearnerError, LearnerParams,
-                                LinearModel, apply_tree,
+                                LinearModel,
                                 logistic_gradient, logistic_objective,
                                 predict, sigmoid, train, train_gbrt,
                                 train_logreg, train_svm)
-from oracles import (binary_log_loss, model_to_text, staged_raw_scores,
-                     svm_primal_objective)
+from oracles import (apply_tree, binary_log_loss, model_to_text,
+                     staged_raw_scores, svm_primal_objective)
 
 
 def subgradient_svm_oracle(X, y, c, iterations=60000, radius=None):
@@ -168,7 +168,7 @@ def assert_same_svm_fit(X, y, params):
                 == np.float64(expected.bias).tobytes())
     assert ([(e, np.float64(v).tobytes()) for e, v in actual_calls]
             == [(e, np.float64(v).tobytes()) for e, v in expected_calls])
-    return len(actual_calls)
+    return actual_calls
 
 
 def svm_oracle_cases(rng):
@@ -187,13 +187,55 @@ def svm_oracle_cases(rng):
     yield X, y, LearnerParams(svm_c=0.01)
     X, y = random_instance(rng, 12, 3)
     yield np.vstack([X, X, X[:5]]), np.concatenate([y, y, 1 - y[:5]]), capped
+    # Converges 21 updates into its eighth epoch, so the updates of a
+    # partial epoch are folded into the weights at exit.
+    X, y = random_instance(rng, 25, 4)
+    yield X * 3.0, y, LearnerParams()
+    X, y = random_instance(rng, 160, 14)
+    yield X * 500.0, y, LearnerParams(svm_max_epochs=1)
+    for params in (LearnerParams(), LearnerParams(svm_max_epochs=1)):
+        yield np.array([[0.5, -1.0], [0.25, 2.0]]), np.array([1, 0]), params
+    # A small box on scaled features: rows leave the bounds and re-enter
+    # them again and again (35 re-entries in 30 capped epochs of 40 rows).
+    X, y = random_instance(rng, 40, 5)
+    yield X * 20.0, y, LearnerParams(svm_c=0.05, svm_max_epochs=30)
 
 
 def test_svm_matches_reference_solver_bit_for_bit():
     rng = np.random.default_rng(61)
-    epochs = [assert_same_svm_fit(X, y, params)
-              for X, y, params in svm_oracle_cases(rng)]
-    assert max(epochs) >= 30  # some case ran into its epoch cap
+    fits = [(params, assert_same_svm_fit(X, y, params))
+            for X, y, params in svm_oracle_cases(rng)]
+    assert max(len(calls) for _, calls in fits) >= 30  # some case hit its cap
+    # Some fit converged inside an epoch: it stopped before its cap, and the
+    # dual moved after the last epoch began, so the updates recorded since
+    # then were folded into the weights at exit.
+    assert any(len(calls) - 1 < params.svm_max_epochs and calls[-1][1] != calls[-2][1]
+               for params, calls in fits)
+
+
+def test_svm_partner_rule_matches_masked_gains():
+    def masked(violation, quad):
+        gains = np.where(violation > 0, violation * violation / quad, -math.inf)
+        return int(gains.argmax())
+
+    quad = np.ones(2)
+    # The unguarded |v|*v form picks index 0 on the first two: the positive
+    # gain at index 1 underflows to 0 and ties it, or NaN wins argmax.
+    for violation in ([0.0, 1e-170], [np.nan, 1.0], [-1.0, 1e-170], [-math.inf, 1e-200]):
+        violation = np.array(violation)
+        assert learners._second_order_partner(violation, quad, np.empty(2)) == 1
+        assert masked(violation, quad) == 1
+    # Magnitudes from 1e-200 to 1e200: gains underflow, and overflow to
+    # tied infinities, in both forms.
+    rng = np.random.default_rng(79)
+    for _ in range(200):
+        violation = rng.normal(size=20) * 10.0 ** rng.integers(-200, 200, size=20)
+        violation[rng.random(20) < 0.3] = -math.inf  # rows off the low set
+        violation[rng.random(20) < 0.1] = 0.0
+        quad = 2.0 * np.maximum(rng.random(20) * 10.0 ** rng.integers(-12, 12), 1e-12)
+        with np.errstate(over="ignore"):
+            assert (learners._second_order_partner(violation, quad, np.empty(20))
+                    == masked(violation, quad))
 
 
 def test_svm_row_cache_budget_does_not_change_bits(monkeypatch):
@@ -203,6 +245,24 @@ def test_svm_row_cache_budget_does_not_change_bits(monkeypatch):
     for scale in (1.0, 500.0):
         X, y = random_instance(rng, 40, 5)
         assert_same_svm_fit(X * scale, y, LearnerParams(svm_max_epochs=20))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("svm_max_epochs", 2.5), ("gbrt_n_estimators", 2.5), ("logreg_max_iter", 2.5),
+    ("gbrt_max_depth", 3.0), ("svm_max_epochs", True), ("gbrt_n_estimators", "100"),
+    ("svm_c", "1"), ("svm_tol", False), ("gbrt_min_child_weight", "0"),
+    ("logreg_l2", None), ("svm_c", math.nan), ("gbrt_min_child_weight", math.nan),
+    ("svm_max_epochs", 0), ("gbrt_lambda", 0.0), ("gbrt_min_child_weight", -1.0),
+])
+def test_learner_params_refuse_wrong_types_and_ranges(field, value):
+    with pytest.raises(LearnerError, match=field):
+        LearnerParams(**{field: value})
+
+
+def test_learner_params_accept_integral_and_real_numbers():
+    params = LearnerParams(svm_c=1, svm_max_epochs=np.int64(3), logreg_l2=np.float64(0.5),
+                           gbrt_min_child_weight=0)
+    assert params.svm_max_epochs == 3 and params.svm_c == 1
 
 
 def test_svm_dual_objective_monotone_per_epoch():
@@ -609,9 +669,9 @@ def spy_on_layouts(monkeypatch) -> list:
     lookups = []
     layout = learners._TreeBuilder._layout
 
-    def spy(builder, mask, m):
-        cached = mask.tobytes() in builder.layouts
-        sorted_idx, cand = layout(builder, mask, m)
+    def spy(builder, rows):
+        cached = rows.tobytes() in builder.layouts
+        sorted_idx, cand = layout(builder, rows)
         lookups.append((cached, cand.size))
         return sorted_idx, cand
 
@@ -668,6 +728,56 @@ def test_gbrt_node_cache_budget_does_not_change_bits(monkeypatch):
     for X, y, rounds in gbrt_oracle_cases(np.random.default_rng(83)):
         assert_same_gbrt_fit(X, y, LearnerParams(gbrt_n_estimators=rounds))
     assert lookups and not any(cached for cached, _ in lookups)
+
+
+def tree_depth(node) -> int:
+    return 0 if node.is_leaf else 1 + max(tree_depth(node.left), tree_depth(node.right))
+
+
+def probe_rows(X, ensemble, rng):
+    """X, then rows of X edited to hold NaN, +-inf, and each split threshold
+    of the ensemble's first ten trees in its feature."""
+    probes = [X]
+    for value in (np.nan, np.inf, -np.inf):
+        rows = X.copy()
+        rows[rng.random(X.shape) < 0.4] = value
+        probes.append(rows)
+
+    def thresholds(t):
+        if not t.is_leaf:
+            yield t.feature, t.threshold
+            yield from thresholds(t.left)
+            yield from thresholds(t.right)
+
+    for tree in ensemble.trees[:10]:
+        for feature, threshold in thresholds(tree):
+            row = X[rng.integers(X.shape[0])].copy()
+            row[feature] = threshold
+            probes.append(row[None, :])
+    return np.vstack(probes)
+
+
+def test_ensemble_scores_equal_sequential_tree_sum_bit_for_bit():
+    rng = np.random.default_rng(89)
+    depth_mixes = []
+    for X, y, rounds in gbrt_oracle_cases(np.random.default_rng(83)):
+        fits = [train_gbrt(X, y, LearnerParams(gbrt_n_estimators=rounds,
+                                               gbrt_min_child_weight=mcw))
+                for mcw in (0.0, 1.0)]
+        # Both fits' trees interleaved, then a single leaf: mixed depths.
+        trees = [tree for pair in zip(fits[0].trees, fits[1].trees) for tree in pair]
+        mixed = learners.BoostedEnsemble(
+            trees=trees + [learners.TreeNode(weight=-0.75)], learning_rate=0.3,
+            base_score=fits[1].base_score, n_features=X.shape[1])
+        depth_mixes.append({tree_depth(t) for t in mixed.trees})
+        for ensemble in fits + [mixed]:
+            rows = probe_rows(X, ensemble, rng)
+            *_, expected = staged_raw_scores(ensemble, rows)
+            assert ensemble.raw_scores(rows).tobytes() == expected.tobytes()
+            assert ensemble.raw_scores(rows[:1]).tobytes() == expected[:1].tobytes()
+            assert (predict(ensemble, rows).tolist()
+                    == (sigmoid(expected) >= 0.5).astype(np.int64).tolist())
+    assert any({0, 2, 3} <= depths for depths in depth_mixes)
 
 
 # ---------------------------------------------------------------------------
