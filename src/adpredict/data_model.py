@@ -296,7 +296,7 @@ _FORMATS = {str: str, int: str, bool: _format_bool, datetime: _format_timestamp}
 # The 16 combinations of the four survey answers, e.g. ("yes", "no", "no", "yes").
 _ANSWERS = {tuple(map(_format_bool, answers)): answers
             for answers in itertools.product((True, False), repeat=4)}
-_SURVEY_BLOCK = 4096  # survey lines split at a time: bounds the yes/no strings alive
+_SPLIT_BLOCK = 1024  # lines split at a time: bounds the field strings alive
 
 _STAMP_SHAPE = "0000-00-00T00:00"  # "0" marks an ASCII digit
 _STAMP_CODES = np.array([ord(c) for c in _STAMP_SHAPE], dtype=np.uint32)
@@ -310,14 +310,18 @@ _INTEGER = re.compile(r"-?[0-9]{1,18}")
 _INTEGERS = re.compile(rf"{_INTEGER.pattern}(?:\n{_INTEGER.pattern})*")
 
 
-def _read_lines(path: Path, table: str) -> list[str]:
-    """The data lines of one table file, after its checked header row."""
+def _split_columns(path: Path, table: str) -> list[list[str]]:
+    """The fields of one table file by column, after its checked header row;
+    equal fields of a column are one shared string.
+
+    Lines are joined and split ``_SPLIT_BLOCK`` at a time, so besides one
+    string per distinct value only one block's fields are alive.
+    """
     header = _HEADERS[table]
     try:
-        text = path.read_text(encoding="utf-8")
+        lines = path.read_text(encoding="utf-8").splitlines()
     except FileNotFoundError:
         raise ParseError(path, 0, "file not found") from None
-    lines = text.splitlines()
     if not lines:
         raise ParseError(path, 1, "missing header row")
     if tuple(lines[0].split("\t")) != header:
@@ -331,7 +335,14 @@ def _read_lines(path: Path, table: str) -> list[str]:
             if line.count("\t") != width - 1:
                 raise ParseError(path, line_no,
                                  f"expected {width} fields, got {line.count(chr(9)) + 1}")
-    return lines
+    columns: list[list[str]] = [[] for _ in range(width)]
+    shared: list[dict[str, str]] = [{} for _ in range(width)]
+    for first in range(0, len(lines), _SPLIT_BLOCK):
+        fields = "\t".join(lines[first:first + _SPLIT_BLOCK]).split("\t")
+        for k in range(width):
+            values = fields[k::width]
+            columns[k] += map(shared[k].setdefault, values, values)
+    return columns
 
 
 def _in_range(text: str) -> bool:
@@ -343,7 +354,10 @@ def _in_range(text: str) -> bool:
 
 def _parse_timestamps(path: Path, texts: list[str]) -> list[datetime]:
     """Parse a column of ``YYYY-MM-DDTHH:MM`` values, zero-padded ASCII digits
-    and years 0001-9999; the first bad value raises ParseError with its line."""
+    and years 0001-9999; the first bad value raises ParseError with its line.
+
+    Each distinct minute becomes one ``datetime``, which equal values share.
+    """
     n, width = len(texts), len(_STAMP_SHAPE)
     column = np.array(texts, dtype=f"<U{width}")
     codes = column.view(np.uint32).reshape(n, width)
@@ -360,53 +374,50 @@ def _parse_timestamps(path: Path, texts: list[str]) -> list[datetime]:
     if not valid.all():
         i = int(np.argmin(valid))
         raise ParseError(path, i + 2, f"bad timestamp {texts[i]!r} (want YYYY-MM-DDTHH:MM)")
-    return stamps.astype(object).tolist()
+    # Sorted as int64: datetime64 sorts slower, as it orders NaT last.
+    distinct, index = np.unique(stamps.view(np.int64), return_inverse=True)
+    return distinct.view(stamps.dtype).astype(object)[index].tolist()
 
 
 def _parse_events(path: Path, table: str, record, min_duration: int, defect: str) -> list:
     """Parse a viewing or broadcast table by column into ``record`` rows.
 
     A duration below ``min_duration`` raises ParseError naming ``defect``.
+    Each distinct duration text is converted once, so equal durations share
+    one int.
     """
-    lines = _read_lines(path, table)
-    # One split of the whole table: no per-row lists for the collector to walk.
-    fields = "\t".join(lines).split("\t") if lines else []
-    ids, starts, durations, channels = (fields[i::4] for i in range(4))
+    ids, starts, durations, channels = _split_columns(path, table)
     starts = _parse_timestamps(path, starts)
-    # Fields hold no newline (lines come from splitlines), so one match of
-    # the joined column checks every value.
-    if durations and not _INTEGERS.fullmatch("\n".join(durations)):
-        i = next(i for i, text in enumerate(durations) if not _INTEGER.fullmatch(text))
-        raise ParseError(path, i + 2, f"bad integer {durations[i]!r}")
-    durations = list(map(int, durations))
-    short = np.flatnonzero(np.array(durations) < min_duration)
-    if short.size:
-        i = int(short[0])
+    # In order of first appearance, so the first bad distinct text is the
+    # column's first bad field. Fields hold no newline (lines come from
+    # splitlines), so one match of the joined texts checks every value.
+    distinct = list(dict.fromkeys(durations))
+    if distinct and not _INTEGERS.fullmatch("\n".join(distinct)):
+        text = next(text for text in distinct if not _INTEGER.fullmatch(text))
+        raise ParseError(path, durations.index(text) + 2, f"bad integer {text!r}")
+    values = dict(zip(distinct, map(int, distinct)))
+    if min(values.values(), default=min_duration) < min_duration:
+        i = next(i for i, text in enumerate(durations) if values[text] < min_duration)
         raise ParseError(path, i + 2, f"{defect} for {ids[i]!r}")
-    return list(map(record._make, zip(ids, starts, durations, channels)))
+    return list(map(record._make, zip(ids, starts, map(values.__getitem__, durations),
+                                      channels)))
 
 
 def _parse_survey(path: Path) -> list[SurveyResponse]:
-    lines = _read_lines(path, "survey")
-    users, products, flags = [], [], []
-    for first in range(0, len(lines), _SURVEY_BLOCK):
-        fields = "\t".join(lines[first:first + _SURVEY_BLOCK]).split("\t")
-        users += fields[0::6]
-        products += fields[1::6]
-        flags += map(_ANSWERS.get, zip(*(fields[k::6] for k in range(2, 6))))
-    pairs = list(zip(users, products))
-    if len(set(pairs)) != len(pairs):
+    users, products, *answers = _split_columns(path, "survey")
+    if len(set(zip(users, products))) != len(users):
         first_seen: dict[tuple[str, str], int] = {}
-        for line_no, pair in enumerate(pairs, start=2):
+        for line_no, pair in enumerate(zip(users, products), start=2):
             if pair in first_seen:
                 raise ParseError(
                     path, line_no,
                     f"duplicate survey row for {pair} (first seen on line {first_seen[pair]})",
                 )
             first_seen[pair] = line_no
+    flags = list(map(_ANSWERS.get, zip(*answers)))
     if None in flags:
         i = flags.index(None)
-        bad = next(f for f in lines[i].split("\t")[2:] if f not in ("yes", "no"))
+        bad = next(a[i] for a in answers if a[i] not in ("yes", "no"))
         raise ParseError(path, i + 2, f"expected yes/no, got {bad!r}")
     return list(map(SurveyResponse._make, zip(users, products, *zip(*flags))))
 
@@ -436,23 +447,24 @@ def _collector_paused():
 def parse_catalog(data_dir: str | Path) -> Catalog:
     """Parse the five panel tables under ``data_dir`` into a validated Catalog.
 
-    Each table is read whole and parsed by column, with automatic cyclic
-    garbage collection paused. Raises ParseError with file and line number
-    for malformed rows, and CatalogError for cross-table invariant
-    violations (dangling foreign keys, duplicate survey pairs, overlapping
-    viewing intervals).
+    Each table is read whole, split by column a block of lines at a time and
+    parsed by column, with automatic cyclic garbage collection paused. Equal
+    values of a column are one shared object. Raises ParseError with file and
+    line number for malformed rows, and CatalogError for cross-table
+    invariant violations (dangling foreign keys, duplicate survey pairs,
+    overlapping viewing intervals).
     """
     data_dir = Path(data_dir)
 
     users_path = data_dir / TABLE_FILENAMES["users"]
     users = []
-    for line_no, line in enumerate(_read_lines(users_path, "users"), start=2):
+    for line_no, fields in enumerate(zip(*_split_columns(users_path, "users")), start=2):
         try:
-            users.append(DemographicProfile(*line.split("\t")))
+            users.append(DemographicProfile(*fields))
         except CatalogError as exc:
             raise ParseError(users_path, line_no, str(exc)) from None
 
-    products = _read_lines(data_dir / TABLE_FILENAMES["products"], "products")
+    [products] = _split_columns(data_dir / TABLE_FILENAMES["products"], "products")
     responses = _parse_survey(data_dir / TABLE_FILENAMES["survey"])
     viewing = _parse_events(data_dir / TABLE_FILENAMES["viewing"], "viewing",
                             ViewingRecord, 0, "negative viewing duration")

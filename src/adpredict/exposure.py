@@ -30,7 +30,7 @@ SLOT_NAMES = ("primetime", "non_primetime")
 _DAY = 86400
 _PRIMETIME_START, _PRIMETIME_END = 19 * 3600, 23 * 3600
 _ORIGIN, _SECOND = datetime(1, 1, 1), timedelta(seconds=1)
-_JOIN_BLOCK = 65536  # candidate pairs per join step: bounds its temporaries
+_JOIN_BLOCK = 16384  # candidate pairs per join step: bounds its temporaries
 
 
 @dataclass(frozen=True)

@@ -520,8 +520,8 @@ class _TreeBuilder:
     def _grow(self, rows: np.ndarray, depth: int) -> TreeNode:
         lam = self.params.gbrt_lambda
         # rows ascend, so each sum adds the node's terms in row order.
-        g_sum = float(self.g[rows].sum())
-        h_sum = float(self.h[rows].sum())
+        g_sum = float(np.add.reduce(self.g[rows]))
+        h_sum = float(np.add.reduce(self.h[rows]))
         weight = -g_sum / (h_sum + lam)
         # Below 2*mcw no split gives both children mcw: _best_split finds none.
         if (depth >= self.params.gbrt_max_depth or rows.size < 2

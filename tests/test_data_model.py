@@ -5,6 +5,7 @@ from datetime import datetime
 import numpy as np
 import pytest
 
+from adpredict import data_model
 from adpredict.data_model import (CatalogError, ParseError, TABLE_FILENAMES,
                                   parse_catalog, serialize_tables, write_catalog,
                                   AdBroadcast, Catalog, ViewingRecord)
@@ -255,6 +256,91 @@ def test_negative_duration_with_many_digits_names_defect(tiny_catalog, tmp_path)
     with pytest.raises(ParseError, match="negative viewing duration") as err:
         parse_catalog(tmp_path)
     assert "viewing.tsv:3:" in str(err.value)
+
+
+def _set_field(directory, table, row, column, value):
+    """Set one field of data row ``row`` (file line ``row + 2``) of ``table``."""
+    path = directory / TABLE_FILENAMES[table]
+    lines = path.read_text().splitlines()
+    fields = lines[row + 1].split("\t")
+    fields[column] = value
+    lines[row + 1] = "\t".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_blocked_parse_matches_whole_parse(tmp_path, monkeypatch, block):
+    write_catalog(generate_panel(GOLDEN_PANEL), tmp_path)
+    whole = parse_catalog(tmp_path)
+    monkeypatch.setattr(data_model, "_SPLIT_BLOCK", block)
+    blocked = parse_catalog(tmp_path)
+    assert blocked == whole
+    assert blocked.fingerprint() == whole.fingerprint()
+
+
+# Data row 10 is file line 12, past the first block of 1, 2 or 7 lines.
+@pytest.mark.parametrize("table, column, value, message", [
+    ("viewing", 2, "+5", "bad integer '\\+5'"),
+    ("broadcasts", 2, "1_0", "bad integer '1_0'"),
+    ("viewing", 1, "2017-02-29T10:00", "bad timestamp '2017-02-29T10:00'"),
+    ("broadcasts", 1, "2017-01-23T24:00", "bad timestamp"),
+    ("viewing", 2, "-1", "negative viewing duration"),
+    ("broadcasts", 2, "0", "non-positive broadcast duration"),
+    ("survey", 4, "maybe", "expected yes/no, got 'maybe'"),
+])
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_blocked_parse_error_names_absolute_line(tmp_path, monkeypatch, block,
+                                                 table, column, value, message):
+    panel = generate_panel(GOLDEN_PANEL)
+    write_catalog(panel, tmp_path)
+    # Rows 1-4 repeat the field of row 0, so the bad value is not the 11th
+    # distinct one: its line is its position, not its rank among distinct values.
+    repeated = serialize_tables(panel)[table].decode().splitlines()[1].split("\t")[column]
+    for row in range(1, 5):
+        _set_field(tmp_path, table, row, column, repeated)
+    _set_field(tmp_path, table, 10, column, value)
+    monkeypatch.setattr(data_model, "_SPLIT_BLOCK", block)
+    with pytest.raises(ParseError, match=message) as err:
+        parse_catalog(tmp_path)
+    assert err.value.line_no == 12
+    assert f"{TABLE_FILENAMES[table]}:12:" in str(err.value)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_blocked_parse_names_duplicate_survey_line(tmp_path, monkeypatch, block):
+    write_catalog(generate_panel(GOLDEN_PANEL), tmp_path)
+    survey = tmp_path / TABLE_FILENAMES["survey"]
+    lines = survey.read_text().splitlines()
+    lines[11] = lines[2]  # line 12 repeats the pair of line 3
+    survey.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(data_model, "_SPLIT_BLOCK", block)
+    with pytest.raises(ParseError, match=r"duplicate survey row .* \(first seen on line 3\)") as err:
+        parse_catalog(tmp_path)
+    assert f"{TABLE_FILENAMES['survey']}:12:" in str(err.value)
+
+
+def test_equal_parsed_values_are_one_object(tmp_path):
+    panel = generate_panel(GOLDEN_PANEL)
+    write_catalog(panel, tmp_path)
+    catalog = parse_catalog(tmp_path)
+    assert catalog == panel
+    assert catalog.fingerprint() == panel.fingerprint()
+    columns = {
+        "viewing user_id": [v.user_id for v in catalog.viewing],
+        "survey user_id": [r.user_id for r in catalog.responses],
+        "survey product_id": [r.product_id for r in catalog.responses],
+        "broadcasts product_id": [b.product_id for b in catalog.broadcasts],
+        "viewing channel": [v.channel for v in catalog.viewing],
+        "broadcasts channel": [b.channel for b in catalog.broadcasts],
+        "viewing duration_s": [v.duration_s for v in catalog.viewing],
+        "viewing start": [v.start for v in catalog.viewing],
+        "broadcasts start": [b.start for b in catalog.broadcasts],
+    }
+    for name, values in columns.items():
+        assert len(set(values)) < len(values), name  # the panel repeats values
+        assert len(set(map(id, values))) == len(set(values)), name
+    # Durations above 256 are not interned by the interpreter.
+    assert max(columns["viewing duration_s"]) > 256
 
 
 def _tables_renamed(catalog, field, old, new):
