@@ -8,7 +8,7 @@ panel and print its fingerprint), ``run`` (execute the experiment matrix),
 Flags are long-form only. Every ``run`` flag mirrors a key of the run
 config file; when both are given and disagree, the config file wins and a
 warning goes to stderr. Exit codes: 0 success, 2 unreadable input, 3
-validation or calibration failure, 4 execution failure, 5 report gaps.
+validation or calibration failure, 4 execution or output failure, 5 report gaps.
 
 All subcommands are deterministic given their inputs and seeds. Reports are
 tables only; NaN cells are rendered as the literal ``nan``.
@@ -56,7 +56,10 @@ def cmd_synth(args) -> int:
         catalog = generate_panel(config)
     except (CalibrationError, TypeError) as exc:
         return _fail(EXIT_VALIDATION, str(exc))
-    write_catalog(catalog, args.out_dir)
+    try:
+        write_catalog(catalog, args.out_dir)
+    except OSError as exc:
+        return _fail(EXIT_EXECUTION, f"cannot write panel: {exc}")
     print(f"wrote panel: {len(catalog.users)} users, {len(catalog.products)} products, "
           f"{len(catalog.advert_matched_products)} advert-matched, "
           f"{len(catalog.viewing)} viewing rows, {len(catalog.broadcasts)} broadcasts")
@@ -80,7 +83,10 @@ def cmd_ingest(args) -> int:
     print(f"fingerprint: {catalog.fingerprint()}")
     if args.dump_exposure:
         matrix = compute_exposure(list(catalog.viewing), list(catalog.broadcasts))
-        write_exposure_table(matrix, args.dump_exposure)
+        try:
+            write_exposure_table(matrix, args.dump_exposure)
+        except OSError as exc:
+            return _fail(EXIT_EXECUTION, f"cannot write exposure table: {exc}")
         print(f"exposure table: {args.dump_exposure}")
     return EXIT_OK
 
@@ -205,20 +211,20 @@ def cmd_report(args) -> int:
     if failures:
         print(f"note: {len(failures)} failed experiments excluded from the report",
               file=sys.stderr)
-    out_dir = Path(args.out_dir)
-    average_paths = stats.write_average_tables(records, out_dir,
-                                               general_average=args.general_average)
-    reports, gaps = stats.hypothesis_suite(records, paired=args.paired)
-    pvalue_paths = stats.write_pvalue_tables(reports, out_dir)
-    stats.write_report_document(records, reports, gaps, out_dir,
-                                general_average=args.general_average)
-    for path in average_paths + pvalue_paths:
+    try:
+        average_paths = stats.write_average_tables(records, args.out_dir,
+                                                   general_average=args.general_average)
+        reports, gaps = stats.hypothesis_suite(records, paired=args.paired)
+        pvalue_paths = stats.write_pvalue_tables(reports, args.out_dir)
+        document_path = stats.write_report_document(records, reports, gaps, args.out_dir,
+                                                    general_average=args.general_average)
+    except OSError as exc:
+        return _fail(EXIT_EXECUTION, f"cannot write report: {exc}")
+    for path in [*average_paths, *pvalue_paths, document_path]:
         print(path)
-    print(out_dir / "report.json")
     if gaps:
-        gap_path = out_dir / "report_gaps.txt"
-        gap_path.write_text("\n".join(gaps) + "\n", encoding="utf-8")
-        print(f"{len(gaps)} missing comparisons listed in {gap_path}", file=sys.stderr)
+        print(f"{len(gaps)} missing comparisons listed in "
+              f"{document_path.parent / stats._GAPS_FILE}", file=sys.stderr)
         return EXIT_GAPS
     return EXIT_OK
 

@@ -217,16 +217,17 @@ class Catalog:
                 raise CatalogError(f"{table} start {r.start.isoformat()} for {r[0]!r} "
                                    f"is not a whole minute")
 
-        seen_pairs = set()
+        # ``build`` sorted the responses by pair, so a duplicate follows its twin.
+        previous = None
         for r in self.responses:
             if r.user_id not in known_users:
                 raise CatalogError(f"survey row references unknown user {r.user_id!r}")
             if r.product_id not in known_products:
                 raise CatalogError(f"survey row references unknown product {r.product_id!r}")
             pair = (r.user_id, r.product_id)
-            if pair in seen_pairs:
+            if pair == previous:
                 raise CatalogError(f"duplicate survey row for {pair}")
-            seen_pairs.add(pair)
+            previous = pair
         expected = len(self.users) * len(self.products)
         if len(self.responses) != expected:
             raise CatalogError(
@@ -322,6 +323,11 @@ def _split_columns(path: Path, table: str) -> list[list[str]]:
         lines = path.read_text(encoding="utf-8").splitlines()
     except FileNotFoundError:
         raise ParseError(path, 0, "file not found") from None
+    except OSError as exc:
+        raise ParseError(path, 0, f"cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:  # exc.start is the byte offset in the file
+        line_no = path.read_bytes().count(b"\n", 0, exc.start) + 1
+        raise ParseError(path, line_no, "not UTF-8") from None
     if not lines:
         raise ParseError(path, 1, "missing header row")
     if tuple(lines[0].split("\t")) != header:

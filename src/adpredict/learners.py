@@ -366,30 +366,18 @@ def _second_order_partner(violation: np.ndarray, quad: np.ndarray,
 # Logistic regression: damped Newton on the L2-penalized log-likelihood.
 # ---------------------------------------------------------------------------
 
-def logistic_objective(X: np.ndarray, y: np.ndarray, weights: np.ndarray,
-                       bias: float, l2: float) -> float:
-    """Penalized negative log-likelihood; the bias term is not penalized."""
-    return _objective_at(X @ weights + bias, y, weights, l2)
-
-
-def logistic_gradient(X: np.ndarray, y: np.ndarray, weights: np.ndarray,
-                      bias: float, l2: float) -> np.ndarray:
-    """Gradient of ``logistic_objective`` w.r.t. (weights..., bias)."""
-    grad = np.empty(X.shape[1] + 1)
-    _gradient_into(grad, X, y, X @ weights + bias, weights, l2)
-    return grad
-
-
 def _objective_at(z: np.ndarray, y: np.ndarray, weights: np.ndarray,
                   l2: float) -> float:
-    """``logistic_objective`` given its linear predictor ``z = X @ weights + bias``."""
+    """Penalized negative log-likelihood at the linear predictor
+    ``z = X @ weights + bias``; the bias term is not penalized."""
     nll = float((np.logaddexp(0.0, z) - y * z).sum())
     return nll + 0.5 * l2 * float(weights @ weights)
 
 
 def _gradient_into(grad: np.ndarray, X: np.ndarray, y: np.ndarray, z: np.ndarray,
                    weights: np.ndarray, l2: float) -> None:
-    """Write ``logistic_gradient`` at the linear predictor ``z`` into ``grad``."""
+    """Write the gradient of ``_objective_at`` w.r.t. (weights..., bias) at the
+    linear predictor ``z`` into ``grad``."""
     residual = sigmoid(z) - y
     grad_w = grad[:-1]
     np.matmul(X.T, residual, out=grad_w)

@@ -471,9 +471,13 @@ def _open_store(out_dir: Path, identity: dict, heads: list[str], resume: bool) -
 
 def _read_lines(path: Path, nul_ends: bool = False) -> tuple[list[str], int]:
     """The complete lines of a store file, without their newlines, and their
-    byte length; bytes that are not UTF-8 raise StoreError with the line.
-    With ``nul_ends``, the lines end before the one that holds the first NUL."""
-    data = path.read_bytes()
+    byte length; an unreadable file, or a byte that is not UTF-8 (with its
+    line), raises StoreError. With ``nul_ends``, the lines end before the
+    one that holds the first NUL."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise StoreError(f"{path}: cannot read: {exc.strerror}") from None
     nul = data.find(b"\0") if nul_ends else -1
     end = data.rfind(b"\n", 0, len(data) if nul < 0 else nul) + 1
     try:

@@ -181,6 +181,8 @@ def _score_rows(records: Iterable["ScoreRecord"]) -> list[tuple]:
 
 
 def _aggregate_rows(rows: Iterable[tuple], group_by: Sequence[str]) -> dict[tuple, float]:
+    """Mean of cross-validated mean F1 within each group; empty groups are
+    simply absent from the result."""
     positions = [_GROUP_FIELDS[name] for name in group_by]
     sums: dict[tuple, list[float]] = {}
     for row in rows:
@@ -188,13 +190,6 @@ def _aggregate_rows(rows: Iterable[tuple], group_by: Sequence[str]) -> dict[tupl
         bucket[0] += row[_F1]
         bucket[1] += 1
     return {key: total / count for key, (total, count) in sums.items()}
-
-
-def aggregate(records: Iterable["ScoreRecord"],
-              group_by: Sequence[str]) -> dict[tuple, float]:
-    """Mean of cross-validated mean F1 within each group; empty groups are
-    simply absent from the result."""
-    return _aggregate_rows(_score_rows(records), group_by)
 
 
 _CONFIG_COLUMNS = tuple(kind.value for kind in INPUT_KIND_ORDER)
@@ -213,10 +208,9 @@ def _mean_or_none(values: list[float]) -> float | None:
     return sum(values) / len(values) if values else None
 
 
-def average_table(records: Iterable["ScoreRecord"], model_kind: str,
-                  base_kind: BaseKind,
-                  general_average: str = "category_means") -> dict:
-    """One table of mean F1 cells for a (model, base) pair.
+def _average_table(rows: list[tuple], model_kind: str, base_kind: str,
+                   general_average: str) -> dict:
+    """One table of mean F1 cells from the ``_score_rows`` of a (model, base) pair.
 
     Columns are the five input configurations plus a Total Average column
     (mean over the configurations). Per behavior there is one row per
@@ -225,14 +219,6 @@ def average_table(records: Iterable["ScoreRecord"], model_kind: str,
     averaging over the underlying experiments instead. A final row averages
     the two behaviors' General Average cells.
     """
-    selected = [row for row in _score_rows(records)
-                if row[0] == model_kind and row[1] == base_kind.value]
-    return _average_table(selected, model_kind, base_kind.value, general_average)
-
-
-def _average_table(rows: list[tuple], model_kind: str, base_kind: str,
-                   general_average: str) -> dict:
-    """``average_table`` over the ``_score_rows`` of one (model, base) pair."""
     if general_average not in ("category_means", "experiment_means"):
         raise ValueError(f"unknown general_average mode {general_average!r}")
     cell_means = _aggregate_rows(rows, ("behavior", "category", "input_config"))
@@ -381,13 +367,16 @@ def hypothesis_suite(records: Sequence["ScoreRecord"],
 # Report emission.
 # ---------------------------------------------------------------------------
 
+_GAPS_FILE = "report_gaps.txt"
+
+
 def _format_cell(value: float | None) -> str:
     if value is None:
         return ""
     return f"{value:.3f}"  # renders NaN as the literal "nan"
 
 
-def render_average_table(table: dict) -> str:
+def _render_average_table(table: dict) -> str:
     header = ["prediction_target", "category", *_CONFIG_COLUMNS, "total_average"]
     lines = ["\t".join(header)]
     for behavior in _BEHAVIOR_ORDER:
@@ -407,7 +396,7 @@ def render_average_table(table: dict) -> str:
 
 def _present_average_tables(records: Sequence["ScoreRecord"],
                             general_average: str) -> list[dict]:
-    """``average_table`` for each (model, base) pair present, in report order."""
+    """``_average_table`` for each (model, base) pair present, in report order."""
     groups: dict[tuple[str, str], list[tuple]] = {}
     for row in _score_rows(records):
         groups.setdefault(row[:2], []).append(row)
@@ -423,13 +412,13 @@ def write_average_tables(records: Sequence["ScoreRecord"], out_dir: str | Path,
     paths = []
     for table in _present_average_tables(records, general_average):
         path = out_dir / f"averages_{table['model']}_{table['base']}.tsv"
-        path.write_text(render_average_table(table), encoding="utf-8")
+        path.write_text(_render_average_table(table), encoding="utf-8")
         paths.append(path)
     return paths
 
 
-def render_pvalue_table(reports: Sequence[TTestReport], hypothesis: str,
-                        behavior: str) -> str:
+def _render_pvalue_table(reports: Sequence[TTestReport], hypothesis: str,
+                         behavior: str) -> str:
     header = ["model", "base", "configuration", *[str(c) for c in CATEGORIES]]
     lines = ["\t".join(header)]
     rows = {}
@@ -456,7 +445,7 @@ def write_pvalue_tables(reports: Sequence[TTestReport],
             if (hypothesis, behavior.value) not in present:
                 continue
             path = out_dir / f"pvalues_{hypothesis}_{behavior.value}.tsv"
-            path.write_text(render_pvalue_table(reports, hypothesis, behavior.value),
+            path.write_text(_render_pvalue_table(reports, hypothesis, behavior.value),
                             encoding="utf-8")
             paths.append(path)
     return paths
@@ -466,7 +455,8 @@ def write_report_document(records: Sequence["ScoreRecord"],
                           reports: Sequence[TTestReport], gaps: Sequence[str],
                           out_dir: str | Path,
                           general_average: str = "category_means") -> Path:
-    """Machine-readable JSON companion to the delimited tables."""
+    """Machine-readable JSON companion to the delimited tables; also writes
+    the gaps to ``report_gaps.txt``, or removes a stale one when there are none."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -487,4 +477,9 @@ def write_report_document(records: Sequence["ScoreRecord"],
     path = out_dir / "report.json"
     path.write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n",
                     encoding="utf-8")
+    gap_path = out_dir / _GAPS_FILE
+    if gaps:
+        gap_path.write_text("\n".join(gaps) + "\n", encoding="utf-8")
+    else:
+        gap_path.unlink(missing_ok=True)
     return path

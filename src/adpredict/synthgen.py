@@ -130,17 +130,16 @@ def _normalized_rates(rates) -> tuple[float, float, float, float]:
     return tuple(r / total for r in rates)
 
 
-def solve_intercept(scores: np.ndarray, target: float,
-                    max_steps: int = 100) -> float:
+def solve_intercept(scores: np.ndarray, target: float) -> float:
     """Bisection for alpha with mean(sigmoid(alpha + scores)) = target.
 
     The mean is monotone in alpha, so bisection converges; failure to land
-    within half a point of the target after ``max_steps`` raises.
+    within half a point of the target after 100 steps raises.
     """
     if not 0.0 < target < 1.0:
         raise CalibrationError(f"target rate must be in (0, 1), got {target}")
     lo, hi = -60.0, 60.0
-    for _ in range(max_steps):
+    for _ in range(100):
         mid = (lo + hi) / 2.0
         if float(sigmoid(mid + scores).mean()) < target:
             lo = mid

@@ -1,8 +1,10 @@
 """Reference functions that tests check the pipeline against.
 
 None of them runs in a pipeline stage: they state an acceptance criterion
-(a primal objective, a training loss, a category rule) or compare models
-bit for bit.
+(a primal objective, a training loss, a category rule, the average table
+of one (model, base) pair), compare models bit for bit, or evaluate the
+logistic Newton loop's objective and gradient at a point, for
+finite-difference checks.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ import json
 import numpy as np
 
 from adpredict.data_model import SurveyResponse
+from adpredict.features import BaseKind
 from adpredict.learners import (BoostedEnsemble, LinearModel, Model, TreeNode,
-                                _check_matrix)
+                                _check_matrix, _gradient_into, _objective_at)
+from adpredict.stats import _average_table, _score_rows
 from adpredict.targets import CATEGORIES, Behavior
 
 
@@ -23,6 +27,20 @@ def svm_primal_objective(weights: np.ndarray, bias: float, X: np.ndarray,
     t = 2.0 * np.asarray(y, dtype=np.float64) - 1.0
     margins = 1.0 - t * (np.asarray(X) @ weights + bias)
     return 0.5 * float(weights @ weights) + c * float(np.maximum(0.0, margins).sum())
+
+
+def logistic_objective(X: np.ndarray, y: np.ndarray, weights: np.ndarray,
+                       bias: float, l2: float) -> float:
+    """The objective the logistic Newton loop minimizes, at (weights, bias)."""
+    return _objective_at(X @ weights + bias, y, weights, l2)
+
+
+def logistic_gradient(X: np.ndarray, y: np.ndarray, weights: np.ndarray,
+                      bias: float, l2: float) -> np.ndarray:
+    """The gradient the logistic Newton loop steps on, w.r.t. (weights..., bias)."""
+    grad = np.empty(X.shape[1] + 1)
+    _gradient_into(grad, X, y, X @ weights + bias, weights, l2)
+    return grad
 
 
 def apply_tree(node: TreeNode, X: np.ndarray) -> np.ndarray:
@@ -111,3 +129,12 @@ def category_distribution(responses: list[SurveyResponse],
             counts[c] += 1
     n = len(responses)
     return {c: counts[c] / n for c in CATEGORIES}
+
+
+def average_table(records, model_kind: str, base_kind: BaseKind,
+                  general_average: str) -> dict:
+    """The average table of one (model, base) pair, its records selected one
+    pair at a time from all of them."""
+    selected = [row for row in _score_rows(records)
+                if row[0] == model_kind and row[1] == base_kind.value]
+    return _average_table(selected, model_kind, base_kind.value, general_average)

@@ -19,16 +19,16 @@ from adpredict.data_model import parse_catalog, write_catalog
 from adpredict.evaluation import Confusion, cross_validate, metrics
 from adpredict.exposure import compute_exposure
 from adpredict.features import InputKind, Panel, build_matrix
-from adpredict.learners import (LearnerParams, logistic_gradient, logistic_objective,
-                                train_gbrt, train_svm)
+from adpredict.learners import LearnerParams, train_gbrt, train_svm
 from adpredict.runner import (MatrixConfig, RESULTS_FILE, SPECS_FILE,
                               enumerate_experiments, matrix_counts, run_matrix)
 from adpredict.stats import hypothesis_suite, welch_t_test
 from adpredict.synthgen import GenConfig, generate_panel
 from adpredict.targets import Behavior, label_vector
 from conftest import random_catalog
-from oracles import (binary_log_loss, categorize, staged_raw_scores,
-                     svm_primal_objective, wave_answers)
+from oracles import (binary_log_loss, categorize, logistic_gradient,
+                     logistic_objective, staged_raw_scores, svm_primal_objective,
+                     wave_answers)
 from test_learners import random_instance, subgradient_svm_oracle
 from test_stats import quadrature_two_sided_p
 

@@ -1,12 +1,13 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from adpredict import runner
+from adpredict import runner, stats
 from adpredict.cli import main
 from adpredict.data_model import parse_catalog
 from adpredict.features import BaseKind, InputConfig, InputKind, ModelBase
@@ -166,6 +167,27 @@ def test_report_gap_exit_code(panel_dir, tmp_path):
     assert result.returncode == 5
     assert (reports / "report_gaps.txt").exists()
 
+    # The library's four calls, in the order perfbench makes them, write
+    # the same directory, gap list included.
+    library = tmp_path / "library"
+    records, _ = runner.load_score_records(store)
+    stats.write_average_tables(records, library)
+    t_tests, gaps = stats.hypothesis_suite(records)
+    stats.write_pvalue_tables(t_tests, library)
+    stats.write_report_document(records, t_tests, gaps, library)
+    assert sorted(p.name for p in library.iterdir()) == sorted(
+        p.name for p in reports.iterdir())
+    for path in reports.iterdir():
+        assert (library / path.name).read_bytes() == path.read_bytes(), path.name
+
+    # A gap-free report into the same directory leaves no stale gap list.
+    gap_free = tmp_path / "gap_free"
+    runner.run_matrix(parse_catalog(panel_dir), runner.MatrixConfig.from_dict(MATRIX),
+                      gap_free, global_seed=3)
+    result = run_cli("report", "--store", str(gap_free), "--out-dir", str(reports))
+    assert result.returncode == 0, result.stderr
+    assert not (reports / "report_gaps.txt").exists()
+
 
 @pytest.mark.parametrize("defect", SCORE_FIELD_DEFECTS)
 def test_report_refuses_unparsable_score_fields(panel_dir, tmp_path, defect):
@@ -176,6 +198,58 @@ def test_report_refuses_unparsable_score_fields(panel_dir, tmp_path, defect):
     result = run_cli("report", "--store", str(store), "--out-dir", str(tmp_path / "r"))
     assert result.returncode == 2
     assert f"{runner.RESULTS_FILE}:4: " in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", ["report", "synth", "ingest"])
+def test_unwritable_output_exits_execution(panel_dir, tmp_path, command):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    if command == "report":
+        store = tmp_path / "store"
+        runner.run_matrix(parse_catalog(panel_dir), runner.MatrixConfig.from_dict(MATRIX),
+                          store, global_seed=3, limit=5)
+        args = ["--store", str(store), "--out-dir", str(blocker)]
+    elif command == "synth":
+        config_path = tmp_path / "gen.json"
+        config_path.write_text(json.dumps(GEN_CONFIG))
+        args = ["--config", str(config_path), "--out-dir", str(blocker)]
+    else:
+        args = ["--data-dir", str(panel_dir), "--dump-exposure", str(tmp_path)]
+    result = run_cli(command, *args)
+    assert result.returncode == 4
+    assert "error: cannot write" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("case", ["panel table not UTF-8", "panel table a directory",
+                                  "specs index a directory"])
+def test_unreadable_input_exits_parse_naming_file(panel_dir, tmp_path, case):
+    if case == "specs index a directory":
+        store = tmp_path / "store"
+        runner.run_matrix(parse_catalog(panel_dir), runner.MatrixConfig.from_dict(MATRIX),
+                          store, global_seed=3, limit=5)
+        specs = store / runner.SPECS_FILE
+        specs.unlink()
+        specs.mkdir()
+        result = run_cli("report", "--store", str(store), "--out-dir", str(tmp_path / "r"))
+        named = f"{specs}: cannot read"
+    else:
+        broken = tmp_path / "broken"
+        shutil.copytree(panel_dir, broken)
+        survey = broken / "survey.tsv"
+        if case == "panel table a directory":
+            survey.unlink()
+            survey.mkdir()
+            named = f"{survey}:0: cannot read"
+        else:
+            lines = survey.read_bytes().splitlines(keepends=True)  # lines[i] is line i + 1
+            lines[3] = b"\xff" + lines[3]
+            survey.write_bytes(b"".join(lines))
+            named = f"{survey}:4: not UTF-8"
+        result = run_cli("ingest", "--data-dir", str(broken))
+    assert result.returncode == 2
+    assert named in result.stderr
     assert "Traceback" not in result.stderr
 
 

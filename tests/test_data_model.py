@@ -111,6 +111,18 @@ def test_incomplete_survey_rejected(tiny_catalog):
                       tiny_catalog.broadcasts)
 
 
+@pytest.mark.parametrize("case", ["added", "in place of the last pair"])
+def test_duplicate_survey_pair_rejected(tiny_catalog, case):
+    responses = list(tiny_catalog.responses)
+    if case == "added":
+        responses.append(responses[0])
+    else:
+        responses[-1] = responses[0]  # the row count still matches
+    with pytest.raises(CatalogError, match="duplicate survey row"):
+        Catalog.build(tiny_catalog.users, tiny_catalog.products, responses,
+                      tiny_catalog.viewing, tiny_catalog.broadcasts)
+
+
 def test_non_positive_broadcast_duration_rejected(tiny_catalog):
     broadcasts = [AdBroadcast("p01", datetime(2017, 1, 23, 20, 30), 0, "ch1")]
     with pytest.raises(CatalogError, match="non-positive broadcast duration"):
@@ -265,7 +277,8 @@ def _set_field(directory, table, row, column, value):
     fields = lines[row + 1].split("\t")
     fields[column] = value
     lines[row + 1] = "\t".join(fields)
-    path.write_text("\n".join(lines) + "\n")
+    # A lone surrogate such as "\udcff" is written as that byte, not UTF-8.
+    path.write_text("\n".join(lines) + "\n", errors="surrogateescape")
 
 
 @pytest.mark.parametrize("block", [1, 2, 7])
@@ -287,6 +300,7 @@ def test_blocked_parse_matches_whole_parse(tmp_path, monkeypatch, block):
     ("viewing", 2, "-1", "negative viewing duration"),
     ("broadcasts", 2, "0", "non-positive broadcast duration"),
     ("survey", 4, "maybe", "expected yes/no, got 'maybe'"),
+    ("users", 3, "\udcff", "not UTF-8"),
 ])
 @pytest.mark.parametrize("block", [1, 2, 7])
 def test_blocked_parse_error_names_absolute_line(tmp_path, monkeypatch, block,

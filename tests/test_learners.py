@@ -6,11 +6,11 @@ import pytest
 from adpredict import learners
 from adpredict.learners import (LearnerError, LearnerParams,
                                 LinearModel,
-                                logistic_gradient, logistic_objective,
                                 predict, sigmoid, train, train_gbrt,
                                 train_logreg, train_svm)
-from oracles import (apply_tree, binary_log_loss, model_to_text,
-                     staged_raw_scores, svm_primal_objective)
+from oracles import (apply_tree, binary_log_loss, logistic_gradient,
+                     logistic_objective, model_to_text, staged_raw_scores,
+                     svm_primal_objective)
 
 
 def subgradient_svm_oracle(X, y, c, iterations=60000, radius=None):

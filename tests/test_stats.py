@@ -6,13 +6,14 @@ import pytest
 from adpredict.evaluation import Confusion, CvResult, FoldResult
 from adpredict.features import BaseKind, InputConfig, InputKind, ModelBase
 from adpredict.runner import ExperimentSpec, ScoreRecord, load_score_records
-from adpredict.stats import (_present_average_tables, aggregate, average_table,
-                             hypothesis_suite,
+from adpredict.stats import (_aggregate_rows, _present_average_tables,
+                             _render_average_table, _render_pvalue_table,
+                             _score_rows, hypothesis_suite,
                              paired_t_test, regularized_incomplete_beta,
-                             render_average_table, render_pvalue_table,
                              student_t_two_sided_p, welch_t_test,
                              write_average_tables, write_pvalue_tables)
 from adpredict.targets import Behavior
+from oracles import average_table
 from test_runner import reference_load_score_records
 
 
@@ -160,7 +161,7 @@ def _record(model="svm", base_kind=BaseKind.PRODUCT_BASED, base_id="p01",
 
 def test_aggregate_simple_mean():
     records = [_record(f1=0.2), _record(f1=0.4)]
-    table = aggregate(records, ("model_kind", "category"))
+    table = _aggregate_rows(_score_rows(records), ("model_kind", "category"))
     assert table[("svm", 1)] == pytest.approx(0.3)
 
 
@@ -176,7 +177,7 @@ def test_aggregate_matches_brute_force():
             behavior=list(Behavior)[int(rng.integers(2))],
             category=int(rng.integers(6)),
             f1=float(rng.random())))
-    table = aggregate(records, ("behavior", "category", "input_config"))
+    table = _aggregate_rows(_score_rows(records), ("behavior", "category", "input_config"))
     for key, value in table.items():
         matching = [r.cv.mean_f1 for r in records
                     if (r.spec.behavior.value, r.spec.category,
@@ -190,7 +191,7 @@ def test_general_average_is_mean_of_category_means():
     for category in range(6):
         records.append(_record(category=category,
                                f1=0.6 if category == 5 else 0.0))
-    table = average_table(records, "svm", BaseKind.PRODUCT_BASED)
+    [table] = _present_average_tables(records, "category_means")
     general = table["behaviors"]["actual_purchase"]["general_average"]
     assert general["view_weekday_slot"] == pytest.approx(0.1)
 
@@ -199,7 +200,7 @@ def test_average_table_total_average_over_configs():
     records = []
     for kind, f1 in zip(InputKind, (0.1, 0.2, 0.3, 0.4, 0.5)):
         records.append(_record(kind=kind, f1=f1))
-    table = average_table(records, "svm", BaseKind.PRODUCT_BASED)
+    [table] = _present_average_tables(records, "category_means")
     row = table["behaviors"]["actual_purchase"]["categories"][1]
     assert row["total_average"] == pytest.approx(0.3)
 
@@ -207,16 +208,16 @@ def test_average_table_total_average_over_configs():
 def test_average_table_pools_pi_toggle_states():
     records = [_record(kind=InputKind.DEMOGRAPHICS, pi=False, f1=0.2),
                _record(kind=InputKind.DEMOGRAPHICS, pi=True, f1=0.4)]
-    table = average_table(records, "svm", BaseKind.PRODUCT_BASED)
+    [table] = _present_average_tables(records, "category_means")
     row = table["behaviors"]["actual_purchase"]["categories"][1]
     assert row["demographics"] == pytest.approx(0.3)
 
 
 def test_average_table_absent_groups_blank():
-    table = average_table([_record()], "svm", BaseKind.PRODUCT_BASED)
+    [table] = _present_average_tables([_record()], "category_means")
     row = table["behaviors"]["purchase_intention"]["categories"][0]
     assert row["view_weekday_slot"] is None
-    rendered = render_average_table(table)
+    rendered = _render_average_table(table)
     assert "purchase_intention\t0\t\t" in rendered
 
 
@@ -279,7 +280,7 @@ def test_hypothesis_suite_paired_mode():
 
 def test_pvalue_table_renders_nan_literal(tmp_path):
     reports, _ = hypothesis_suite(_suite_records(spread=False))
-    rendered = render_pvalue_table(reports, "h1", "actual_purchase")
+    rendered = _render_pvalue_table(reports, "h1", "actual_purchase")
     assert "\tnan" in rendered
     paths = write_pvalue_tables(reports, tmp_path)
     assert len(paths) == 3  # one behavior in the records, three hypotheses
@@ -308,7 +309,7 @@ _REFERENCE_GROUP_FIELDS = {
 
 
 def reference_aggregate(records, group_by):
-    """The record-at-a-time ``aggregate`` that the row extraction replaced."""
+    """Record-at-a-time grouping, as before the row extraction."""
     extractors = [_REFERENCE_GROUP_FIELDS[name] for name in group_by]
     sums = {}
     for record in records:
@@ -334,14 +335,14 @@ def reference_samples(records):
 
 
 @pytest.mark.parametrize("group_by", [
-    ("behavior", "category", "input_config"),  # average_table cells
-    ("behavior", "input_config"),  # average_table experiment means
+    ("behavior", "category", "input_config"),  # average table cells
+    ("behavior", "input_config"),  # average table experiment means
     ("model_kind", "base_kind", "base_id", "input_config", "behavior", "category"),
     ("category",),
 ])
 def test_aggregate_matches_reference(oracle_store, group_by):
     records, _ = load_score_records(oracle_store)
-    assert (list(aggregate(records, group_by).items())
+    assert (list(_aggregate_rows(_score_rows(records), group_by).items())
             == list(reference_aggregate(records, group_by).items()))
 
 
