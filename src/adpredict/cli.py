@@ -42,6 +42,11 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+# What reading a JSON input file can raise: the file is unreadable, not
+# UTF-8, or not JSON.
+_JSON_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError)
+
+
 def _load_json(path: str | Path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
@@ -49,8 +54,8 @@ def _load_json(path: str | Path) -> dict:
 def cmd_synth(args) -> int:
     try:
         doc = _load_json(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_PARSE, f"cannot read generator config: {exc}")
+    except _JSON_ERRORS as exc:
+        return _fail(EXIT_PARSE, f"cannot read generator config {args.config}: {exc}")
     try:
         config = GenConfig.from_dict(doc)
         catalog = generate_panel(config)
@@ -110,8 +115,8 @@ def _merge_run_config(args, doc: dict) -> dict:
 def cmd_run(args) -> int:
     try:
         doc = _load_json(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_PARSE, f"cannot read run config: {exc}")
+    except _JSON_ERRORS as exc:
+        return _fail(EXIT_PARSE, f"cannot read run config {args.config}: {exc}")
     if not isinstance(doc, dict):
         return _fail(EXIT_PARSE, "run config must be a JSON object")
     merged = _merge_run_config(args, doc)
@@ -143,17 +148,18 @@ def cmd_run(args) -> int:
         return _fail(EXIT_VALIDATION,
                      "run config needs exactly one data source: data_dir, synth "
                      "or synth_config")
+    gen_doc = merged.get("synth")
+    if merged.get("synth_config"):
+        try:
+            gen_doc = _load_json(merged["synth_config"])
+        except _JSON_ERRORS as exc:
+            return _fail(EXIT_PARSE,
+                         f"cannot read generator config {merged['synth_config']}: {exc}")
     try:
-        if merged.get("data_dir"):
-            catalog = parse_catalog(merged["data_dir"])
-        else:
-            gen_doc = (merged["synth"] if merged.get("synth")
-                       else _load_json(merged["synth_config"]))
-            catalog = generate_panel(GenConfig.from_dict(gen_doc))
+        catalog = (parse_catalog(merged["data_dir"]) if merged.get("data_dir")
+                   else generate_panel(GenConfig.from_dict(gen_doc)))
     except ParseError as exc:
         return _fail(EXIT_PARSE, str(exc))
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_PARSE, f"cannot read generator config: {exc}")
     except (CatalogError, CalibrationError, TypeError) as exc:
         return _fail(EXIT_VALIDATION, str(exc))
 
@@ -233,7 +239,7 @@ def cmd_ttest(args) -> int:
     path = Path(args.file)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail(EXIT_PARSE, f"cannot read {path}: {exc}")
     lines = text.splitlines()
     if not lines:

@@ -30,7 +30,7 @@ SLOT_NAMES = ("primetime", "non_primetime")
 _DAY = 86400
 _PRIMETIME_START, _PRIMETIME_END = 19 * 3600, 23 * 3600
 _ORIGIN, _SECOND = datetime(1, 1, 1), timedelta(seconds=1)
-_JOIN_BLOCK = 16384  # candidate pairs per join step: bounds its temporaries
+_JOIN_BLOCK = 4096  # candidate pairs per join step: bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -53,25 +53,34 @@ class ExposureMatrix:
                                          flipped[index].tolist())}
 
 
-def _codes(values: list[str], keys: tuple[str, ...]) -> np.ndarray:
-    """Position of each value in ``keys``."""
+def _codes(records, field: str, keys: tuple[str, ...]) -> np.ndarray:
+    """Position in ``keys`` of each record's ``field``."""
     index = {key: i for i, key in enumerate(keys)}
-    return np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+    return np.fromiter(map(index.__getitem__, map(operator.attrgetter(field), records)),
+                       np.intp, len(records))
 
 
-def _seconds(starts) -> np.ndarray:
-    """Whole seconds since 0001-01-01 00:00 of a column of datetimes."""
+def _durations(records) -> np.ndarray:
+    """Each record's duration in seconds."""
+    return np.fromiter(map(operator.attrgetter("duration_s"), records), np.int64,
+                       len(records))
+
+
+def _seconds(records) -> np.ndarray:
+    """Whole seconds since 0001-01-01 00:00 of each record's start."""
+    starts = map(operator.attrgetter("start"), records)
     return np.fromiter(map(operator.floordiv, map(operator.sub, starts, repeat(_ORIGIN)),
-                           repeat(_SECOND)), np.int64, len(starts))
+                           repeat(_SECOND)), np.int64, len(records))
 
 
-def _join(seconds: np.ndarray, v_user, v_start, v_end, b_product, b_start, b_end) -> None:
+def _join(seconds: np.ndarray, v_user, v_start, v_length, b_product, b_start, b_length) -> None:
     """Add the overlaps of one channel's views with its broadcasts, which are
     sorted by start, to ``seconds``, ``_JOIN_BLOCK`` candidate pairs at a time."""
+    v_end, b_end = v_start + v_length, b_start + b_length
     # Broadcasts starting before v.start - max duration cannot reach into v;
     # the candidates of view i are broadcasts lo[i] .. lo[i]+counts[i]-1, and
     # they are candidate pairs begins[i] .. ends[i]-1 of the channel.
-    lo = np.searchsorted(b_start, v_start - (b_end - b_start).max())
+    lo = np.searchsorted(b_start, v_start - b_length.max())
     counts = np.searchsorted(b_start, v_end, side="right") - lo
     ends = np.cumsum(counts)
     begins = ends - counts
@@ -100,31 +109,31 @@ def compute_exposure(viewing: list[ViewingRecord],
 
     Pure function of its inputs; empty inputs yield an all-zero matrix. Per
     matched pair the credited seconds never exceed the broadcast duration.
+    No field passes through a Python list, and interval ends exist for one
+    channel at a time: that bounds what the join holds at once.
     """
-    v_users = [v.user_id for v in viewing]
-    b_products = [b.product_id for b in broadcasts]
-    user_ids = tuple(sorted(set(v_users)))
-    product_ids = tuple(sorted(set(b_products)))
+    user_ids = tuple(sorted({v.user_id for v in viewing}))
+    product_ids = tuple(sorted({b.product_id for b in broadcasts}))
     channels = tuple(sorted({v.channel for v in viewing} | {b.channel for b in broadcasts}))
     seconds = np.zeros((len(user_ids), len(product_ids), 7, len(SLOT_NAMES)),
                        dtype=np.int64)
 
-    v_user = _codes(v_users, user_ids)
-    v_start = _seconds([v.start for v in viewing])
-    v_end = v_start + np.array([v.duration_s for v in viewing], dtype=np.int64)
-    v_channel = _codes([v.channel for v in viewing], channels)
-    b_product = _codes(b_products, product_ids)
-    b_start = _seconds([b.start for b in broadcasts])
-    b_end = b_start + np.array([b.duration_s for b in broadcasts], dtype=np.int64)
-    b_channel = _codes([b.channel for b in broadcasts], channels)
+    v_user = _codes(viewing, "user_id", user_ids)
+    v_start = _seconds(viewing)
+    v_length = _durations(viewing)
+    v_channel = _codes(viewing, "channel", channels)
+    b_product = _codes(broadcasts, "product_id", product_ids)
+    b_start = _seconds(broadcasts)
+    b_length = _durations(broadcasts)
+    b_channel = _codes(broadcasts, "channel", channels)
 
     by_start = np.argsort(b_start, kind="stable")
     for c in range(len(channels)):
         v = np.flatnonzero(v_channel == c)
         b = by_start[b_channel[by_start] == c]
         if v.size and b.size:
-            _join(seconds, v_user[v], v_start[v], v_end[v],
-                  b_product[b], b_start[b], b_end[b])
+            _join(seconds, v_user[v], v_start[v], v_length[v],
+                  b_product[b], b_start[b], b_length[b])
     return ExposureMatrix(user_ids, product_ids, seconds)
 
 

@@ -46,6 +46,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from .data_model import Catalog, _collector_paused
 from .evaluation import Confusion, CvResult, FoldResult, cross_validate
@@ -304,30 +305,43 @@ def _row_head(spec: ExperimentSpec, seed: int) -> str:
 
 def numeric_environment() -> dict:
     """What result bits depend on besides the inputs: the Python and numpy
-    versions, the BLAS build and the kernel it picked for this CPU.
+    versions, the BLAS build, the kernel it picked for this CPU and its
+    thread count, and the SIMD targets numpy dispatches to.
 
     numpy's OpenBLAS is built with ``DYNAMIC_ARCH``: one install selects its
     kernels per CPU at load time, and the build info alone does not show
-    which. ``blas_kernel`` is ``None`` when the loaded library cannot say.
+    which. The thread count splits large products and solves differently,
+    and numpy's ``exp`` and ``log1p`` differ between SIMD targets.
+    ``blas_kernel`` and ``blas_threads`` are ``None`` when the loaded
+    library cannot say.
     """
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    lib = _openblas()
+    kernel, threads = (None, None) if lib is None else (
+        lib.scipy_openblas_get_corename64_().decode("ascii"),
+        lib.scipy_openblas_get_num_threads64_())
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": f"{blas['name']} {blas['version']}",
-            "blas_kernel": _openblas_kernel()}
+            "blas_kernel": kernel, "blas_threads": threads,
+            "simd": [target for target in __cpu_dispatch__ if __cpu_features__[target]]}
 
 
 @functools.cache
-def _openblas_kernel() -> str | None:
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's OpenBLAS, if it can name its kernel and count its threads."""
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for path in sorted(libs.glob("*openblas*")):
         try:
-            corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_",
-                               None)
+            lib = ctypes.CDLL(str(path))
         except OSError:
             continue
-        if corename is not None:
-            corename.argtypes, corename.restype = [], ctypes.c_char_p
-            return corename().decode("ascii")
+        if all(hasattr(lib, name) for name in ("scipy_openblas_get_corename64_",
+                                               "scipy_openblas_get_num_threads64_")):
+            lib.scipy_openblas_get_corename64_.argtypes = []
+            lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+            lib.scipy_openblas_get_num_threads64_.argtypes = []
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            return lib
     return None
 
 
@@ -453,15 +467,20 @@ def _open_store(out_dir: Path, identity: dict, heads: list[str], resume: bool) -
     else:
         if not manifest_path.exists():
             raise StoreError(f"missing manifest {manifest_path}")
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        if manifest["fingerprint"] != identity["fingerprint"]:
-            raise StoreError("catalog fingerprint does not match the manifest")
-        if (manifest["matrix"] != identity["matrix"]
-                or manifest["global_seed"] != identity["global_seed"]):
-            raise StoreError("matrix configuration or seed does not match the manifest")
+        try:
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        except ValueError:  # not UTF-8, or not JSON
+            raise StoreError(f"{manifest_path}: not a JSON document") from None
+        if not isinstance(manifest, dict):
+            raise StoreError(f"{manifest_path}: not a JSON object")
+        if manifest.get("fingerprint") != identity["fingerprint"]:
+            raise StoreError(f"catalog fingerprint does not match {manifest_path}")
+        if (manifest.get("matrix") != identity["matrix"]
+                or manifest.get("global_seed") != identity["global_seed"]):
+            raise StoreError(f"matrix configuration or seed does not match {manifest_path}")
         if manifest.get("environment") != identity["environment"]:
             raise StoreError(f"numeric environment {identity['environment']} does not "
-                             f"match the manifest's {manifest.get('environment')}")
+                             f"match {manifest.get('environment')} in {manifest_path}")
         if not specs_path.exists() or specs_path.read_bytes() != specs_text.encode("utf-8"):
             raise StoreError(f"{specs_path} does not match the enumeration")
     rows, end = _read_log(results_path, heads)

@@ -17,8 +17,8 @@ from test_runner import SCORE_FIELD_DEFECTS, break_score_fields
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*args, cwd=None):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+def run_cli(*args, cwd=None, env=None):
+    env = dict(os.environ, PYTHONPATH=str(SRC), **(env or {}))
     return subprocess.run([sys.executable, "-m", "adpredict.cli", *args],
                           capture_output=True, text=True, env=env, cwd=cwd)
 
@@ -373,6 +373,49 @@ def test_run_resume_refuses_another_numeric_environment(panel_dir, tmp_path):
     assert result.returncode == 3
     assert "numeric environment" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("key, variable, value", [
+    ("blas_threads", "OPENBLAS_NUM_THREADS", "1"),
+    ("simd", "NPY_DISABLE_CPU_FEATURES", None),  # every enabled target
+], ids=["one BLAS thread", "baseline SIMD"])
+def test_run_resume_refuses_a_store_from_another_environment(panel_dir, tmp_path,
+                                                            key, variable, value):
+    here = runner.numeric_environment()[key]
+    if here in (1, []):  # one CPU, or no SIMD target above numpy's baseline
+        pytest.skip(f"{key} is already {here} on this host")
+    store = tmp_path / "store"
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"data_dir": str(panel_dir), "out_dir": str(store),
+                                       "matrix": dict(MATRIX, categories=[1])}))
+    written = run_cli("run", "--config", str(config_path), "--limit", "2",
+                      env={variable: " ".join(here) if value is None else value})
+    assert written.returncode == 0, written.stderr
+    manifest = json.loads((store / "manifest.json").read_text())
+    assert manifest["environment"][key] != here
+    result = run_cli("run", "--config", str(config_path), "--resume")
+    assert result.returncode == 3
+    assert "numeric environment" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", ["synth --config", "run --config",
+                                     "run synth_config", "ttest --file"])
+def test_input_file_not_utf8_exits_parse_naming_it(tmp_path, capsys, command):
+    broken = tmp_path / "broken"
+    broken.write_bytes(b'{"n_users": 4\xff}')
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"synth_config": str(broken), "matrix": MATRIX,
+                                       "out_dir": str(tmp_path / "store")}))
+    args = {"synth --config": ["synth", "--config", str(broken),
+                               "--out-dir", str(tmp_path / "panel")],
+            "run --config": ["run", "--config", str(broken)],
+            "run synth_config": ["run", "--config", str(config_path)],
+            "ttest --file": ["ttest", "--file", str(broken),
+                             "--column-a", "a", "--column-b", "b"]}[command]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(broken) in err
 
 
 def test_run_store_io_failure_exits_execution(panel_dir, tmp_path):

@@ -8,11 +8,19 @@ moves them changes the result contract and must say so in CHANGES.md.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from adpredict.cli import main
 from adpredict.data_model import TABLE_FILENAMES, write_catalog
 from adpredict.learners import LearnerParams
-from adpredict.runner import RESULTS_FILE, SPECS_FILE, MatrixConfig, run_matrix
+from adpredict.runner import (RESULTS_FILE, SPECS_FILE, MatrixConfig, numeric_environment,
+                              run_matrix)
 from adpredict.synthgen import GenConfig, generate_panel
 
 GOLDEN_PANEL = GenConfig(n_users=30, n_products=5, n_advert_matched=4, seed=8,
@@ -60,6 +68,32 @@ def test_golden_store(tmp_path):
     run_matrix(catalog, matrix, resumed, global_seed=3, workers=2, limit=61)
     run_matrix(catalog, matrix, resumed, global_seed=3, workers=2, resume=True)
     assert _sha256(resumed / RESULTS_FILE, resumed / SPECS_FILE) == STORE_DIGEST
+
+
+@pytest.mark.parametrize("key, variable, value", [
+    ("blas_kernel", "OPENBLAS_CORETYPE", "Prescott"),
+    ("blas_threads", "OPENBLAS_NUM_THREADS", "1"),
+    ("simd", "NPY_DISABLE_CPU_FEATURES", None),  # every enabled target
+], ids=["Prescott kernel", "one BLAS thread", "baseline SIMD"])
+def test_golden_store_across_numeric_environments(tmp_path, key, variable, value):
+    # Each setting moves some model bits (the BLAS kernel, the BLAS thread
+    # count at paper-scale shapes, numpy's exp and log1p), but no prediction
+    # flips.
+    here = numeric_environment()[key]
+    if here in (1, []):  # one CPU, or no SIMD target above numpy's baseline
+        pytest.skip(f"{key} is already {here} on this host")
+    child = ("import json, sys, pathlib, test_golden\n"
+             "test_golden.test_golden_store(pathlib.Path(sys.argv[1]))\n"
+             "print(json.dumps(test_golden.numeric_environment()))\n")
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    result = subprocess.run([sys.executable, "-c", child, str(tmp_path)],
+                            capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=path,
+                                     **{variable: " ".join(here) if value is None else value}))
+    assert result.returncode == 0, result.stderr
+    # The child ran under the setting, so its digest held there.
+    assert json.loads(result.stdout)[key] != here
 
 
 def test_golden_exposure_dump(tmp_path):

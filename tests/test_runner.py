@@ -434,13 +434,16 @@ def test_negative_limit_is_refused(small_catalog, tmp_path):
 @pytest.mark.parametrize("edit", [
     pytest.param({"blas_kernel": "Haswell"}, id="another kernel"),
     pytest.param({"numpy": "1.26.4"}, id="another numpy"),
+    pytest.param({"blas_threads": 64}, id="another thread count"),
+    pytest.param({"simd": []}, id="baseline SIMD"),
     pytest.param(None, id="not recorded"),
 ])
 def test_resume_refuses_another_numeric_environment(small_catalog, tmp_path, edit):
     store = tmp_path / "s"
     manifest = run_matrix(small_catalog, SMALL_MATRIX, store, global_seed=4, limit=3)
     assert manifest["environment"] == runner.numeric_environment()
-    assert set(manifest["environment"]) == {"python", "numpy", "blas", "blas_kernel"}
+    assert set(manifest["environment"]) == {"python", "numpy", "blas", "blas_kernel",
+                                            "blas_threads", "simd"}
     recorded = json.loads((store / MANIFEST_FILE).read_text())
     if edit is None:
         del recorded["environment"]
@@ -454,12 +457,25 @@ def test_resume_refuses_another_numeric_environment(small_catalog, tmp_path, edi
 
 
 def test_numeric_environment_without_the_kernel_symbol(monkeypatch):
-    runner._openblas_kernel.cache_clear()
+    runner._openblas.cache_clear()
     monkeypatch.setattr(runner.ctypes, "CDLL", lambda path: object())
     try:
-        assert runner.numeric_environment()["blas_kernel"] is None
+        environment = runner.numeric_environment()
+        assert environment["blas_kernel"] is environment["blas_threads"] is None
     finally:
-        runner._openblas_kernel.cache_clear()
+        runner._openblas.cache_clear()
+
+
+@pytest.mark.parametrize("text", [b"{", b"{}", b"[]", b'{"fingerprint": "\xff"}'],
+                         ids=["not JSON", "empty object", "array", "not UTF-8"])
+def test_resume_refuses_a_broken_manifest(small_catalog, tmp_path, text):
+    store = tmp_path / "s"
+    run_matrix(small_catalog, SMALL_MATRIX, store, global_seed=4, limit=3)
+    (store / MANIFEST_FILE).write_bytes(text)
+    log = (store / RESULTS_FILE).read_bytes()
+    with pytest.raises(StoreError, match=MANIFEST_FILE):
+        run_matrix(small_catalog, SMALL_MATRIX, store, global_seed=4, resume=True)
+    assert (store / RESULTS_FILE).read_bytes() == log
 
 
 @pytest.mark.parametrize("workers", [1, 2])
