@@ -25,6 +25,7 @@ from pathlib import Path
 from . import stats
 from .data_model import CatalogError, ParseError, parse_catalog, write_catalog
 from .exposure import compute_exposure, write_exposure_table
+from .learners import is_integer
 from .runner import (MatrixConfig, RunnerError, StoreError, _spec_counts,
                      enumerate_experiments, load_score_records, matrix_counts,
                      run_matrix)
@@ -126,18 +127,18 @@ def cmd_run(args) -> int:
         matrix = MatrixConfig.from_dict(merged.get("matrix", {}))
     except (TypeError, ValueError) as exc:  # RunnerError is a ValueError
         return _fail(EXIT_VALIDATION, f"bad matrix config: {exc}")
-    try:
-        global_seed = int(merged.get("global_seed", 0))
-        workers = int(merged.get("workers", 1))
-    except (TypeError, ValueError) as exc:
-        return _fail(EXIT_VALIDATION, f"bad global_seed or workers: {exc}")
+    global_seed = merged.get("global_seed", 0)
+    workers = merged.get("workers", 1)
+    if not (is_integer(global_seed) and is_integer(workers)):
+        return _fail(EXIT_VALIDATION, f"global_seed and workers must be integers, "
+                     f"got {global_seed!r} and {workers!r}")
 
     if args.dry_run and not sources:
         # Counting needs only base counts; reference-scale totals are
         # verifiable without materializing any catalog.
         n_products = merged.get("assume_product_bases")
         n_users = merged.get("assume_user_bases")
-        if not all(type(n) is int and n >= 0 for n in (n_products, n_users)):
+        if not all(is_integer(n) and n >= 0 for n in (n_products, n_users)):
             return _fail(EXIT_VALIDATION,
                          "dry run without a data source needs assume_product_bases "
                          "and assume_user_bases, each a non-negative integer")

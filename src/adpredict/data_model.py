@@ -155,10 +155,6 @@ class AdBroadcast(NamedTuple):
     duration_s: int
     channel: str
 
-    @property
-    def end(self) -> datetime:
-        return self.start + timedelta(seconds=self.duration_s)
-
 
 @dataclass(frozen=True)
 class Catalog:

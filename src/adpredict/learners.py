@@ -32,6 +32,12 @@ class LearnerError(ValueError):
     """Invalid training or prediction input."""
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer. A bool is an Integral, but True is
+    neither a count nor a seed."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class LearnerParams:
     """Hyperparameters for all three families.
@@ -54,17 +60,17 @@ class LearnerParams:
     logreg_max_iter: int = 100
 
     def __post_init__(self):
-        # A bool is an Integral, but True is neither a count nor a rate.
         for name in ("svm_max_epochs", "gbrt_max_depth", "gbrt_n_estimators",
                      "logreg_max_iter"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not is_integer(value):
                 raise LearnerError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise LearnerError(f"{name} must be at least 1")
         for name in ("svm_c", "svm_tol", "gbrt_learning_rate", "gbrt_lambda",
                      "logreg_l2", "logreg_tol", "gbrt_min_child_weight"):
             value = getattr(self, name)
+            # True is not a rate either.
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise LearnerError(f"{name} must be a real number, got {value!r}")
             # Written so that NaN fails too.
@@ -86,23 +92,22 @@ class LinearModel:
 
 
 @dataclass
-class TreeNode:
-    """Either an internal split (feature, threshold, children) or a leaf."""
-
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    weight: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-@dataclass
 class BoostedEnsemble:
-    trees: list[TreeNode]
+    """The nodes of all trees in preorder, as flat arrays.
+
+    ``feature``, ``left`` and ``right`` are ``intp``; ``threshold`` and
+    ``weight`` are ``float64``. A leaf has feature -1 and is its own left
+    and right child; an internal node has weight 0.0. ``roots`` holds each
+    tree's root index and ``depth`` the deepest leaf's depth.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    weight: np.ndarray
+    roots: np.ndarray
+    depth: int
     learning_rate: float
     base_score: float
     n_features: int
@@ -111,23 +116,21 @@ class BoostedEnsemble:
         """``base_score`` plus ``learning_rate * leaf weight`` of each tree,
         added tree by tree.
 
-        All trees descend at once: their nodes sit in flat arrays where a
-        leaf's children are the leaf itself, and each level of the deepest
-        tree moves a (trees x rows) position array one level down. A row
-        goes left when ``x <= threshold``, so NaN goes right. The cumsum over
-        trees makes the same additions, in the same order, as adding one
-        tree at a time.
+        All trees descend at once: each level of the deepest tree moves a
+        (trees x rows) position array one level down, and a row at a leaf
+        stays there. A row goes left when ``x <= threshold``, so NaN goes
+        right. The cumsum over trees makes the same additions, in the same
+        order, as adding one tree at a time.
         """
         X = _check_matrix(X, self.n_features)
-        feature, threshold, left, right, weight, roots, depth = _flatten(self.trees)
         cols = np.arange(X.shape[0])
-        pos = roots[:, None]
-        for _ in range(depth):
-            goes_left = X[cols, feature[pos]] <= threshold[pos]
-            pos = np.where(goes_left, left[pos], right[pos])
-        chain = np.empty((len(self.trees) + 1, X.shape[0]))
+        pos = self.roots[:, None]
+        for _ in range(self.depth):
+            goes_left = X[cols, self.feature[pos]] <= self.threshold[pos]
+            pos = np.where(goes_left, self.left[pos], self.right[pos])
+        chain = np.empty((self.roots.size + 1, X.shape[0]))
         chain[0] = self.base_score
-        np.multiply(self.learning_rate, weight[pos], out=chain[1:])
+        np.multiply(self.learning_rate, self.weight[pos], out=chain[1:])
         return chain.cumsum(axis=0)[-1]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -467,19 +470,26 @@ def train_gbrt(X, y, params: LearnerParams = LearnerParams()) -> BoostedEnsemble
     # The leaves of a round partition the rows, so one shift per round gives
     # each row the single addition of its leaf's learning_rate * weight.
     shift = np.empty(n)
-    trees: list[TreeNode] = []
+    roots: list[int] = []
     for _ in range(params.gbrt_n_estimators):
         p = sigmoid(raw)
         g = p - y
         h = p * (1.0 - p)
-        trees.append(builder.build(g, h, shift))
+        roots.append(builder.build(g, h, shift))
         raw += shift
-    return BoostedEnsemble(trees=trees, learning_rate=params.gbrt_learning_rate,
-                           base_score=base_score, n_features=d)
+    index = np.intp
+    return BoostedEnsemble(
+        feature=np.array(builder.feature, dtype=index),
+        threshold=np.array(builder.threshold), left=np.array(builder.left, dtype=index),
+        right=np.array(builder.right, dtype=index), weight=np.array(builder.weight),
+        roots=np.array(roots, dtype=index), depth=builder.depth,
+        learning_rate=params.gbrt_learning_rate, base_score=base_score, n_features=d)
 
 
 class _TreeBuilder:
-    """Grows the trees of one fit.
+    """Grows the trees of one fit into five preorder node lists (feature,
+    threshold, left, right, weight), laid out as in ``BoostedEnsemble``, and
+    records the deepest leaf's depth.
 
     A node is the ascending array of its row indices. Its layout is its rows
     in per-feature sorted order plus the flat positions ``f * m + b`` of its
@@ -499,13 +509,20 @@ class _TreeBuilder:
         self.shift: np.ndarray | None = None
         self.layouts: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         self.layout_bytes = 0
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.weight: list[float] = []
+        self.depth = 0
 
-    def build(self, g: np.ndarray, h: np.ndarray, shift: np.ndarray) -> TreeNode:
-        """Grow one tree on (g, h); write each row's leaf step into ``shift``."""
+    def build(self, g: np.ndarray, h: np.ndarray, shift: np.ndarray) -> int:
+        """Grow one tree on (g, h); write each row's leaf step into ``shift``.
+        Returns the root's index."""
         self.g, self.h, self.shift = g, h, shift
         return self._grow(np.arange(self.X.shape[0]), depth=0)
 
-    def _grow(self, rows: np.ndarray, depth: int) -> TreeNode:
+    def _grow(self, rows: np.ndarray, depth: int) -> int:
         lam = self.params.gbrt_lambda
         # rows ascend, so each sum adds the node's terms in row order.
         g_sum = float(np.add.reduce(self.g[rows]))
@@ -517,14 +534,21 @@ class _TreeBuilder:
             split = None
         else:
             split = self._best_split(rows, g_sum, h_sum)
+        k = len(self.weight)
+        feature, threshold = split or (-1, 0.0)
+        self.feature.append(feature)
+        self.threshold.append(threshold)
+        self.left.append(k)
+        self.right.append(k)
+        self.weight.append(0.0 if split else weight)
         if split is None:
             self.shift[rows] = self.params.gbrt_learning_rate * weight
-            return TreeNode(weight=weight)
-        feature, threshold = split
+            self.depth = max(self.depth, depth)
+            return k
         goes_left = self.X[rows, feature] <= threshold
-        left = self._grow(rows[goes_left], depth + 1)
-        right = self._grow(rows[~goes_left], depth + 1)
-        return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
+        self.left[k] = self._grow(rows[goes_left], depth + 1)
+        self.right[k] = self._grow(rows[~goes_left], depth + 1)
+        return k
 
     def _layout(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         key = rows.tobytes()
@@ -586,38 +610,6 @@ class _TreeBuilder:
         if threshold >= hi:  # midpoint rounded up between adjacent floats
             threshold = lo
         return feature, threshold
-
-
-def _flatten(trees: list[TreeNode]):
-    """Nodes of all trees in preorder as arrays (feature, threshold, left,
-    right, weight), each tree's root index, and the deepest leaf's depth."""
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    weight: list[float] = []
-    depth = 0
-
-    def add(node: TreeNode, level: int) -> int:
-        nonlocal depth
-        k = len(weight)
-        feature.append(node.feature)
-        threshold.append(node.threshold)
-        weight.append(node.weight)
-        left.append(k)
-        right.append(k)
-        if node.is_leaf:
-            depth = max(depth, level)
-        else:
-            left[k] = add(node.left, level + 1)
-            right[k] = add(node.right, level + 1)
-        return k
-
-    roots = np.array([add(tree, 0) for tree in trees], dtype=np.intp)
-    index = np.intp
-    return (np.array(feature, dtype=index), np.array(threshold),
-            np.array(left, dtype=index), np.array(right, dtype=index),
-            np.array(weight), roots, depth)
 
 
 # ---------------------------------------------------------------------------

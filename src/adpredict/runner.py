@@ -53,7 +53,7 @@ from .evaluation import Confusion, CvResult, FoldResult, cross_validate
 from .exposure import ExposureMatrix, compute_exposure
 from .features import (INPUT_KIND_ORDER, BaseKind, InputConfig, InputKind,
                        ModelBase, Panel, build_matrix)
-from .learners import MODEL_KINDS, LearnerParams
+from .learners import MODEL_KINDS, LearnerParams, is_integer
 from .targets import CATEGORIES, Behavior, label_vector
 
 RESULTS_FILE = "results.tsv"
@@ -133,6 +133,10 @@ class MatrixConfig:
             raise RunnerError(f"bad pi_feature_states {self.pi_feature_states!r}")
         if self.accounting not in ("canonical", "expanded"):
             raise RunnerError(f"bad accounting mode {self.accounting!r}")
+        if not all(is_integer(c) for c in self.categories):
+            raise RunnerError(f"categories must be integers, got {self.categories!r}")
+        if not is_integer(self.k):
+            raise RunnerError(f"k must be an integer, got {self.k!r}")
         if self.k < 2:
             raise RunnerError("k must be at least 2")
 
@@ -149,7 +153,7 @@ class MatrixConfig:
         if "behaviors" in doc:
             doc["behaviors"] = tuple(Behavior(v) for v in doc["behaviors"])
         if "categories" in doc:
-            doc["categories"] = tuple(int(c) for c in doc["categories"])
+            doc["categories"] = tuple(doc["categories"])
         if "learner_params" in doc:
             doc["learner_params"] = LearnerParams(**doc["learner_params"])
         return cls(**doc)
@@ -465,11 +469,9 @@ def _open_store(out_dir: Path, identity: dict, heads: list[str], resume: bool) -
     elif not resume:
         raise StoreError(f"{results_path} already exists; use resume")
     else:
-        if not manifest_path.exists():
-            raise StoreError(f"missing manifest {manifest_path}")
         try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except ValueError:  # not UTF-8, or not JSON
+            manifest = json.loads(_read(manifest_path).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
             raise StoreError(f"{manifest_path}: not a JSON document") from None
         if not isinstance(manifest, dict):
             raise StoreError(f"{manifest_path}: not a JSON object")
@@ -481,23 +483,28 @@ def _open_store(out_dir: Path, identity: dict, heads: list[str], resume: bool) -
         if manifest.get("environment") != identity["environment"]:
             raise StoreError(f"numeric environment {identity['environment']} does not "
                              f"match {manifest.get('environment')} in {manifest_path}")
-        if not specs_path.exists() or specs_path.read_bytes() != specs_text.encode("utf-8"):
+        if _read(specs_path) != specs_text.encode("utf-8"):
             raise StoreError(f"{specs_path} does not match the enumeration")
     rows, end = _read_log(results_path, heads)
     os.truncate(results_path, end)  # appends start on a fresh row
     return len(rows)
 
 
-def _read_lines(path: Path, nul_ends: bool = False) -> tuple[list[str], int]:
-    """The complete lines of a store file, without their newlines, and their
-    byte length; an unreadable file, or a byte that is not UTF-8 (with its
-    line), raises StoreError. With ``nul_ends``, the lines end before the
-    one that holds the first NUL."""
+def _read(path: Path) -> bytes:
+    """The bytes of a store file; a missing or unreadable one raises
+    StoreError."""
     try:
-        data = path.read_bytes()
+        return path.read_bytes()
     except OSError as exc:
         raise StoreError(f"{path}: cannot read: {exc.strerror}") from None
-    nul = data.find(b"\0") if nul_ends else -1
+
+
+def _read_lines(path: Path) -> tuple[list[str], int]:
+    """The complete lines of a store file before the line that holds its
+    first NUL, without their newlines, and their byte length; a byte that
+    is not UTF-8 raises StoreError naming its line."""
+    data = _read(path)
+    nul = data.find(b"\0")
     end = data.rfind(b"\n", 0, len(data) if nul < 0 else nul) + 1
     try:
         return data[:end].decode("utf-8").split("\n")[:-1], end
@@ -517,9 +524,7 @@ def _read_log(path: Path, heads: Sequence[str]) -> tuple[list[list[str]], int]:
     the log, even before rows written later. No valid row holds a NUL,
     since ``Catalog`` refuses it in every id.
     """
-    if not path.exists():
-        raise StoreError(f"missing results log {path}")
-    lines, end = _read_lines(path, nul_ends=True)
+    lines, end = _read_lines(path)
     if not lines or tuple(lines[0].split("\t")) != _RESULT_COLUMNS:
         raise StoreError(f"{path}: bad or missing header")
     rows = []
@@ -553,10 +558,7 @@ def load_score_records(store_dir: str | Path) -> tuple[list[ScoreRecord], list[d
     ``data_model.parse_catalog``.
     """
     store_dir = Path(store_dir)
-    specs_path = store_dir / SPECS_FILE
-    if not specs_path.exists():
-        raise StoreError(f"missing enumeration index {specs_path}")
-    heads = _read_lines(specs_path)[0][1:]
+    heads = _read_lines(store_dir / SPECS_FILE)[0][1:]
     results_path = store_dir / RESULTS_FILE
     rows, _ = _read_log(results_path, heads)
     behaviors = {behavior.value: behavior for behavior in Behavior}

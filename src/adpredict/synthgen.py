@@ -53,6 +53,8 @@ WINDOW_DAYS = 58
 
 _PRIMETIME_BROADCAST_SHARE = 0.45
 _EVENING_SESSION_SHARE = 0.55
+_N_CHANNELS = 4
+_ADVERT_DURATIONS = (15, 30, 45, 60)  # seconds
 
 
 class CalibrationError(ValueError):
@@ -80,10 +82,8 @@ class GenConfig:
     wave_persistence: dict[Behavior, float | None] = field(
         default_factory=lambda: {b: None for b in Behavior})
     seed: int = 0
-    n_channels: int = 4
     broadcasts_per_day: int = 18
     session_minutes: tuple[int, int] = (60, 300)
-    advert_durations: tuple[int, ...] = (15, 30, 45, 60)
 
     def __post_init__(self):
         self.beta_demo = np.asarray(self.beta_demo, dtype=np.float64)
@@ -120,8 +120,6 @@ class GenConfig:
                 doc["wave_persistence"] = {Behavior(k): v for k, v in raw.items()}
         if "session_minutes" in doc:
             doc["session_minutes"] = tuple(doc["session_minutes"])
-        if "advert_durations" in doc:
-            doc["advert_durations"] = tuple(doc["advert_durations"])
         return cls(**doc)
 
 
@@ -182,7 +180,7 @@ def _structure(config: GenConfig, rng: np.random.Generator):
     user_ids = [f"u{i:04d}" for i in range(1, config.n_users + 1)]
     product_ids = [f"p{i:03d}" for i in range(1, config.n_products + 1)]
     matched = product_ids[:config.n_advert_matched]
-    channels = [f"ch{i}" for i in range(1, config.n_channels + 1)]
+    channels = [f"ch{i}" for i in range(1, _N_CHANNELS + 1)]
 
     demo_idx = rng.integers(0, [len(AGE_BRACKETS), len(SEXES), len(MARITAL_STATUSES),
                                 len(PARENTAL_STATUSES), len(INCOME_BRACKETS)],
@@ -200,7 +198,7 @@ def _structure(config: GenConfig, rng: np.random.Generator):
 
     broadcasts: list[AdBroadcast] = []
     per_product = config.broadcasts_per_day * WINDOW_DAYS
-    durations = np.array(config.advert_durations)
+    durations = np.array(_ADVERT_DURATIONS)
     for product_id in matched:
         days = rng.integers(0, WINDOW_DAYS, per_product)
         slot_coins = rng.random(per_product)

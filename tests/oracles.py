@@ -15,8 +15,8 @@ import numpy as np
 
 from adpredict.data_model import SurveyResponse
 from adpredict.features import BaseKind
-from adpredict.learners import (BoostedEnsemble, LinearModel, Model, TreeNode,
-                                _check_matrix, _gradient_into, _objective_at)
+from adpredict.learners import (BoostedEnsemble, LinearModel, Model, _check_matrix,
+                                _gradient_into, _objective_at)
 from adpredict.stats import _average_table, _score_rows
 from adpredict.targets import CATEGORIES, Behavior
 
@@ -43,29 +43,31 @@ def logistic_gradient(X: np.ndarray, y: np.ndarray, weights: np.ndarray,
     return grad
 
 
-def apply_tree(node: TreeNode, X: np.ndarray) -> np.ndarray:
-    """Leaf weight reached by every row of X, one node at a time."""
+def apply_tree(ensemble: BoostedEnsemble, root: int, X: np.ndarray) -> np.ndarray:
+    """Leaf weight reached by every row of X in the tree rooted at node
+    ``root``, one node at a time."""
     out = np.empty(X.shape[0])
-    _apply_tree_into(node, X, np.arange(X.shape[0]), out)
+    _apply_tree_into(ensemble, root, X, np.arange(X.shape[0]), out)
     return out
 
 
-def _apply_tree_into(node: TreeNode, X, idx: np.ndarray, out: np.ndarray) -> None:
-    if node.is_leaf:
-        out[idx] = node.weight
+def _apply_tree_into(ensemble: BoostedEnsemble, k: int, X, idx: np.ndarray,
+                     out: np.ndarray) -> None:
+    if ensemble.feature[k] < 0:
+        out[idx] = ensemble.weight[k]
         return
-    goes_left = X[idx, node.feature] <= node.threshold
-    _apply_tree_into(node.left, X, idx[goes_left], out)
-    _apply_tree_into(node.right, X, idx[~goes_left], out)
+    goes_left = X[idx, ensemble.feature[k]] <= ensemble.threshold[k]
+    _apply_tree_into(ensemble, ensemble.left[k], X, idx[goes_left], out)
+    _apply_tree_into(ensemble, ensemble.right[k], X, idx[~goes_left], out)
 
 
 def staged_raw_scores(ensemble: BoostedEnsemble, X: np.ndarray):
-    """Yield raw scores after 0, 1, ..., len(trees) rounds."""
+    """Yield raw scores after 0, 1, ..., len(roots) rounds."""
     X = _check_matrix(X, ensemble.n_features)
     raw = np.full(X.shape[0], ensemble.base_score)
     yield raw.copy()
-    for tree in ensemble.trees:
-        raw += ensemble.learning_rate * apply_tree(tree, X)
+    for root in ensemble.roots:
+        raw += ensemble.learning_rate * apply_tree(ensemble, root, X)
         yield raw.copy()
 
 
@@ -83,15 +85,17 @@ def model_to_text(model: Model) -> str:
     else:
         doc = {"type": "boosted", "learning_rate": model.learning_rate,
                "base_score": model.base_score, "n_features": model.n_features,
-               "trees": [_tree_to_doc(t) for t in model.trees]}
+               "trees": [_tree_to_doc(model, root) for root in model.roots]}
     return json.dumps(doc, indent=1)
 
 
-def _tree_to_doc(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"weight": node.weight}
-    return {"feature": node.feature, "threshold": node.threshold,
-            "left": _tree_to_doc(node.left), "right": _tree_to_doc(node.right)}
+def _tree_to_doc(ensemble: BoostedEnsemble, k: int) -> dict:
+    if ensemble.feature[k] < 0:
+        return {"weight": float(ensemble.weight[k])}
+    return {"feature": int(ensemble.feature[k]),
+            "threshold": float(ensemble.threshold[k]),
+            "left": _tree_to_doc(ensemble, ensemble.left[k]),
+            "right": _tree_to_doc(ensemble, ensemble.right[k])}
 
 
 def categorize(jan: bool, mar: bool) -> frozenset[int]:

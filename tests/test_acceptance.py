@@ -172,9 +172,10 @@ def test_learner_oracles():
         y = np.array([0, 1])
         stump = train_gbrt(X, y, LearnerParams(gbrt_n_estimators=1,
                                                gbrt_max_depth=1,
-                                               gbrt_min_child_weight=0.0)).trees[0]
-        assert stump.left.weight == -0.5 / 1.25
-        assert stump.right.weight == 0.5 / 1.25
+                                               gbrt_min_child_weight=0.0))
+        root = stump.roots[0]
+        assert stump.weight[stump.left[root]] == -0.5 / 1.25
+        assert stump.weight[stump.right[root]] == 0.5 / 1.25
 
         for _ in range(10):
             X, y = random_instance(rng, int(rng.integers(40, 120)),

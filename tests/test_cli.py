@@ -286,7 +286,12 @@ def test_run_refuses_negative_limit(panel_dir, tmp_path):
     pytest.param({"matrix": dict(MATRIX, learner_params={"svm_max_epochs": 2.5})}, False, 3,
                  id="float svm_max_epochs"),
     pytest.param({"matrix": dict(MATRIX, k="5")}, False, 3, id="string k"),
+    pytest.param({"matrix": dict(MATRIX, k=3.0)}, False, 3, id="float k"),
+    pytest.param({"matrix": dict(MATRIX, categories=[1.7])}, False, 3, id="float category"),
+    pytest.param({"matrix": dict(MATRIX, categories=[True])}, False, 3, id="bool category"),
     pytest.param({"workers": "x"}, False, 3, id="string workers"),
+    pytest.param({"workers": 1.9}, False, 3, id="float workers"),
+    pytest.param({"global_seed": 2.5}, False, 3, id="float global_seed"),
     pytest.param({"matrix": MATRIX, "assume_product_bases": "36",
                   "assume_user_bases": 20}, True, 3, id="string base count"),
     pytest.param([1], False, 2, id="JSON array"),
@@ -373,6 +378,25 @@ def test_run_resume_refuses_another_numeric_environment(panel_dir, tmp_path):
     assert result.returncode == 3
     assert "numeric environment" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("state", ["missing", "directory"])
+@pytest.mark.parametrize("name", ["manifest.json", "specs.tsv"])
+def test_run_resume_refuses_an_unreadable_store_file(panel_dir, tmp_path, capsys,
+                                                     name, state):
+    store = tmp_path / "store"
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"data_dir": str(panel_dir), "out_dir": str(store),
+                                       "matrix": dict(MATRIX, categories=[1])}))
+    assert main(["run", "--config", str(config_path), "--limit", "2"]) == 0
+    (store / name).unlink()
+    if state == "directory":
+        (store / name).mkdir()
+    log = (store / "results.tsv").read_bytes()
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_path), "--resume"]) == 3
+    assert f"error: {store / name}: cannot read: " in capsys.readouterr().err
+    assert (store / "results.tsv").read_bytes() == log
 
 
 @pytest.mark.parametrize("key, variable, value", [

@@ -24,7 +24,8 @@ def brute_force_exposure(viewing, broadcasts) -> dict:
             seconds = 0
             first = None
             moment = b.start
-            while moment < b.end:
+            b_end = b.start + timedelta(seconds=b.duration_s)
+            while moment < b_end:
                 if v.start <= moment < v.end:
                     seconds += 1
                     if first is None:

@@ -478,12 +478,18 @@ def test_gbrt_single_stump_hand_computed():
                            gbrt_min_child_weight=0.0)
     ensemble = train_gbrt(X, y, params)
     assert ensemble.base_score == 0.0  # log-odds of rate 0.5
-    stump = ensemble.trees[0]
     # p = 0.5 for both rows: g = (0.5, -0.5), h = (0.25, 0.25), lambda = 1.
-    assert stump.feature == 0
-    assert stump.threshold == 0.5
-    assert stump.left.weight == pytest.approx(-0.5 / 1.25, abs=0)
-    assert stump.right.weight == pytest.approx(0.5 / 1.25, abs=0)
+    # In preorder: the split, then its two leaves, each its own child.
+    assert ensemble.feature.tolist() == [0, -1, -1]
+    assert ensemble.threshold.tolist() == [0.5, 0.0, 0.0]
+    assert ensemble.left.tolist() == [1, 1, 2]
+    assert ensemble.right.tolist() == [2, 1, 2]
+    assert ensemble.weight.tolist() == [0.0, -0.5 / 1.25, 0.5 / 1.25]
+    assert ensemble.roots.tolist() == [0]
+    assert ensemble.depth == 1
+    for name in ("feature", "left", "right", "roots"):
+        assert getattr(ensemble, name).dtype == np.intp
+    assert ensemble.threshold.dtype == ensemble.weight.dtype == np.float64
 
 
 def test_gbrt_all_labels_identical_constant():
@@ -516,21 +522,21 @@ def test_gbrt_leaf_weights_recomputable():
     Xs, ys = _canonical_order(np.asarray(X, float), np.asarray(y, float))
     raw = np.full(len(ys), ensemble.base_score)
     lam = params.gbrt_lambda
-    for tree in ensemble.trees:
+    for root in ensemble.roots:
         p = sigmoid(raw)
         g, h = p - ys, p * (1 - p)
 
-        def check(node, mask):
-            if node.is_leaf:
+        def check(k, mask):
+            if ensemble.feature[k] < 0:
                 expected = -g[mask].sum() / (h[mask].sum() + lam)
-                assert node.weight == pytest.approx(expected, rel=1e-12)
+                assert ensemble.weight[k] == pytest.approx(expected, rel=1e-12)
                 return
-            left = mask & (Xs[:, node.feature] <= node.threshold)
-            check(node.left, left)
-            check(node.right, mask & ~left)
+            left = mask & (Xs[:, ensemble.feature[k]] <= ensemble.threshold[k])
+            check(ensemble.left[k], left)
+            check(ensemble.right[k], mask & ~left)
 
-        check(tree, np.ones(len(ys), dtype=bool))
-        raw += params.gbrt_learning_rate * apply_tree(tree, Xs)
+        check(root, np.ones(len(ys), dtype=bool))
+        raw += params.gbrt_learning_rate * apply_tree(ensemble, root, Xs)
 
 
 def test_gbrt_min_child_weight_blocks_tiny_splits():
@@ -538,7 +544,8 @@ def test_gbrt_min_child_weight_blocks_tiny_splits():
     y = np.array([0, 1])
     # Child hessian mass is 0.25 < 1, so the default refuses the stump.
     ensemble = train_gbrt(X, y, LearnerParams(gbrt_n_estimators=1, gbrt_max_depth=1))
-    assert ensemble.trees[0].is_leaf
+    assert ensemble.feature.tolist() == [-1]
+    assert ensemble.depth == 0
 
 
 def reference_train_gbrt(X, y, params=LearnerParams(), searches=None):
@@ -585,14 +592,19 @@ def reference_train_gbrt(X, y, params=LearnerParams(), searches=None):
             split = best_split(mask, m, g_sum, h_sum)
             if searches is not None:
                 searches.append((h_sum, split is not None))
+        k = len(nodes)
         if split is None:
             leaves.append((mask, weight))
-            return learners.TreeNode(weight=weight)
+            depths.append(depth)
+            nodes.append([-1, 0.0, k, k, weight])
+            return k
         feature, threshold = split
+        nodes.append([feature, threshold, k, k, 0.0])
         left = mask & (X[:, feature] <= threshold)
         right = mask & ~(X[:, feature] <= threshold)
-        return learners.TreeNode(feature=feature, threshold=threshold,
-                                 left=grow(left, depth + 1), right=grow(right, depth + 1))
+        nodes[k][2] = grow(left, depth + 1)
+        nodes[k][3] = grow(right, depth + 1)
+        return k
 
     X, y = learners._check_training_input(X, y)
     X, y = reference_canonical_order(X, y)
@@ -601,26 +613,42 @@ def reference_train_gbrt(X, y, params=LearnerParams(), searches=None):
     base_score = math.log(rate / (1.0 - rate))
     raw = np.full(n, base_score)
     order = np.argsort(X, axis=0, kind="stable")
-    trees = []
+    nodes, depths, roots = [], [], []
     for _ in range(params.gbrt_n_estimators):
         p = reference_sigmoid(raw)
         g = p - y
         h = p * (1.0 - p)
         leaves = []
-        trees.append(grow(np.ones(n, dtype=bool), 0))
+        roots.append(grow(np.ones(n, dtype=bool), 0))
         for mask, weight in leaves:
             raw[mask] += params.gbrt_learning_rate * weight
-    return learners.BoostedEnsemble(trees=trees, learning_rate=params.gbrt_learning_rate,
-                                    base_score=base_score, n_features=d)
+    return ensemble_from_nodes(nodes, roots, max(depths),
+                               learning_rate=params.gbrt_learning_rate,
+                               base_score=base_score, n_features=d)
+
+
+def ensemble_from_nodes(nodes, roots, depth, **fields):
+    """A ``BoostedEnsemble`` from preorder [feature, threshold, left, right,
+    weight] rows."""
+    feature, threshold, left, right, weight = zip(*nodes)
+    index = np.intp
+    return learners.BoostedEnsemble(
+        feature=np.array(feature, dtype=index), threshold=np.array(threshold, dtype=float),
+        left=np.array(left, dtype=index), right=np.array(right, dtype=index),
+        weight=np.array(weight, dtype=float), roots=np.array(roots, dtype=index),
+        depth=depth, **fields)
 
 
 def gbrt_to_hex(ensemble) -> list:
-    """Every tree as nested tuples, with each float as ``float.hex``."""
-    def node(t):
-        if t.is_leaf:
-            return float(t.weight).hex()
-        return (t.feature, float(t.threshold).hex(), node(t.left), node(t.right))
-    return [float(ensemble.base_score).hex()] + [node(t) for t in ensemble.trees]
+    """The deepest leaf's depth, then every tree as nested tuples, with each
+    float as ``float.hex``."""
+    def node(k):
+        if ensemble.feature[k] < 0:
+            return float(ensemble.weight[k]).hex()
+        return (int(ensemble.feature[k]), float(ensemble.threshold[k]).hex(),
+                node(ensemble.left[k]), node(ensemble.right[k]))
+    return ([float(ensemble.base_score).hex(), ensemble.depth]
+            + [node(k) for k in ensemble.roots])
 
 
 def matrix_fold(rng, n):
@@ -684,19 +712,22 @@ def assert_same_gbrt_fit(X, y, params, searches=None):
     actual = train_gbrt(X, y, params)
     assert gbrt_to_hex(actual) == gbrt_to_hex(expected)
     assert model_to_text(actual) == model_to_text(expected)
+    for name in ("feature", "threshold", "left", "right", "weight", "roots"):
+        assert getattr(actual, name).tobytes() == getattr(expected, name).tobytes()
     return actual
 
 
 def midpoint_rounded_up(X, ensemble) -> bool:
     """Whether some split took ``threshold = lo``: the midpoint of ``lo`` and
     the next larger value of its column rounds up to that value."""
-    def walk(t):
-        if t.is_leaf:
+    def walk(k):
+        feature, threshold = ensemble.feature[k], ensemble.threshold[k]
+        if feature < 0:
             return False
-        above = X[:, t.feature][X[:, t.feature] > t.threshold]
-        hi = above.min()
-        return (t.threshold + hi) / 2.0 >= hi or walk(t.left) or walk(t.right)
-    return any(walk(t) for t in ensemble.trees)
+        hi = X[:, feature][X[:, feature] > threshold].min()
+        return ((threshold + hi) / 2.0 >= hi
+                or walk(ensemble.left[k]) or walk(ensemble.right[k]))
+    return any(walk(k) for k in ensemble.roots)
 
 
 def test_gbrt_matches_reference_booster_bit_for_bit(monkeypatch):
@@ -730,8 +761,30 @@ def test_gbrt_node_cache_budget_does_not_change_bits(monkeypatch):
     assert lookups and not any(cached for cached, _ in lookups)
 
 
-def tree_depth(node) -> int:
-    return 0 if node.is_leaf else 1 + max(tree_depth(node.left), tree_depth(node.right))
+def tree_depth(ensemble, k) -> int:
+    """Depth of the subtree at node ``k``."""
+    if ensemble.feature[k] < 0:
+        return 0
+    return 1 + max(tree_depth(ensemble, ensemble.left[k]),
+                   tree_depth(ensemble, ensemble.right[k]))
+
+
+def ensemble_of(trees, **fields):
+    """One ensemble of ``trees``, each an (ensemble, root) pair, copied node
+    by node in preorder."""
+    nodes = []
+
+    def copy(source, k):
+        j = len(nodes)
+        nodes.append([source.feature[k], source.threshold[k], j, j, source.weight[k]])
+        if source.feature[k] >= 0:
+            nodes[j][2] = copy(source, source.left[k])
+            nodes[j][3] = copy(source, source.right[k])
+        return j
+
+    roots = [copy(source, k) for source, k in trees]
+    depth = max(tree_depth(source, k) for source, k in trees)
+    return ensemble_from_nodes(nodes, roots, depth, **fields)
 
 
 def probe_rows(X, ensemble, rng):
@@ -743,14 +796,14 @@ def probe_rows(X, ensemble, rng):
         rows[rng.random(X.shape) < 0.4] = value
         probes.append(rows)
 
-    def thresholds(t):
-        if not t.is_leaf:
-            yield t.feature, t.threshold
-            yield from thresholds(t.left)
-            yield from thresholds(t.right)
+    def thresholds(k):
+        if ensemble.feature[k] >= 0:
+            yield ensemble.feature[k], ensemble.threshold[k]
+            yield from thresholds(ensemble.left[k])
+            yield from thresholds(ensemble.right[k])
 
-    for tree in ensemble.trees[:10]:
-        for feature, threshold in thresholds(tree):
+    for root in ensemble.roots[:10]:
+        for feature, threshold in thresholds(root):
             row = X[rng.integers(X.shape[0])].copy()
             row[feature] = threshold
             probes.append(row[None, :])
@@ -765,11 +818,13 @@ def test_ensemble_scores_equal_sequential_tree_sum_bit_for_bit():
                                                gbrt_min_child_weight=mcw))
                 for mcw in (0.0, 1.0)]
         # Both fits' trees interleaved, then a single leaf: mixed depths.
-        trees = [tree for pair in zip(fits[0].trees, fits[1].trees) for tree in pair]
-        mixed = learners.BoostedEnsemble(
-            trees=trees + [learners.TreeNode(weight=-0.75)], learning_rate=0.3,
-            base_score=fits[1].base_score, n_features=X.shape[1])
-        depth_mixes.append({tree_depth(t) for t in mixed.trees})
+        leaf = ensemble_from_nodes([[-1, 0.0, 0, 0, -0.75]], [0], 0, learning_rate=1.0,
+                                   base_score=0.0, n_features=X.shape[1])
+        trees = [(fit, root) for pair in zip(fits[0].roots, fits[1].roots)
+                 for fit, root in zip(fits, pair)]
+        mixed = ensemble_of(trees + [(leaf, 0)], learning_rate=0.3,
+                            base_score=fits[1].base_score, n_features=X.shape[1])
+        depth_mixes.append({tree_depth(mixed, root) for root in mixed.roots})
         for ensemble in fits + [mixed]:
             rows = probe_rows(X, ensemble, rng)
             *_, expected = staged_raw_scores(ensemble, rows)
